@@ -9,7 +9,8 @@ import numpy as np
 
 from .core import (ContractError, DegenerateInputError, DiscreteCdf, DiscretePdf,
                    GaussianDist, Grid2D, cdf_from_pdf, cramer_distance, pdf_from_cdf)
-from .mdist import ClosureSpec, StatParams, solve_cdf_characteristics, solve_cdf_fv
+from .mdist import (ClosureSpec, StatParams, _advance, resolve_deterministic_inputs,
+                    solve_cdf_characteristics)
 from .physics import (MeasurementSet, PhysicsConfig, forcing, make_rng,
                       sample_k_field, solve_physical_fv)
 
@@ -170,17 +171,22 @@ def minimize_nelder_mead(objective, phi0: StatParams, opt: OptimizerConfig,
 def forecast_slice(phi: StatParams, spec: ClosureSpec, cfg: PhysicsConfig,
                    grid: Grid2D, x: float, t: float,
                    deterministic_inputs: bool | None = None) -> DiscreteCdf:
-    """Solve the CDF equation from t = 0 with parameters phi and extract the
-    U-slice at the nearest grid node to (x, t)."""
-    if deterministic_inputs is None:
-        deterministic_inputs = spec.family != "exact_deterministic_k"
+    """Forecast with parameters phi the U-slice at the grid node nearest to
+    (x, t), bit-identical to `solve_cdf_fv(..., t_end=t, store="last")`
+    followed by `slice_at(x, t)`.
+
+    The grid solve advances only the backward characteristic cone of that
+    node: its x-shift reads at most two upstream nodes per step and all else
+    acts on one x-node at a time, so no other row can reach the slice (see
+    `damd.mdist`). The exact closure is evaluated by characteristics.
+    """
+    deterministic_inputs = resolve_deterministic_inputs(spec, deterministic_inputs)
     if spec.family == "exact_deterministic_k":
         return solve_cdf_characteristics(phi.get("k_mean"), phi, cfg, x, t,
                                          grid.u_nodes,
                                          deterministic_inputs=deterministic_inputs)
-    sol = solve_cdf_fv(spec, phi, cfg, grid, t_end=t,
-                       deterministic_inputs=deterministic_inputs, store="last")
-    return sol.slice_at(x, t)
+    return _advance(spec, phi, cfg, grid, t, deterministic_inputs, "last",
+                    cone_x=x).slice_at(x, t)
 
 
 def damd_loss(phi: StatParams, spec: ClosureSpec, cfg: PhysicsConfig,

@@ -258,21 +258,6 @@ def cmd_assimilate(cfg, mode: str, out_dir: Path) -> int:
     return 0
 
 
-def _matched_moment_samples(family, mean, std, n, rng):
-    """Draws with prescribed mean and std; lognormal parameters come from the
-    moment equations, the uniform half-width is sqrt(3) * std."""
-    if family == "normal":
-        return mean + std * rng.standard_normal(n)
-    if family == "lognormal":
-        s2 = np.log(1.0 + (std / mean) ** 2)
-        mu = np.log(mean) - 0.5 * s2
-        return np.exp(mu + np.sqrt(s2) * rng.standard_normal(n))
-    if family == "uniform":
-        half = np.sqrt(3.0) * std
-        return mean + half * (2.0 * rng.random(n) - 1.0)
-    raise ConfigError(f"unknown sampling family {family!r}")
-
-
 def cmd_verify_mc(cfg, out_dir: Path) -> int:
     grid = _grid(cfg)
     phys = _physics(cfg)
@@ -286,13 +271,12 @@ def cmd_verify_mc(cfg, out_dir: Path) -> int:
     base = rng.random(n_mc)
     from scipy.special import ndtri
 
+    s2 = np.log(1.0 + (std / mean) ** 2)  # lognormal log-variance matching the moments
     samples = {
         "normal": mean + std * ndtri(base),
-        "lognormal": None,
+        "lognormal": np.exp(np.log(mean) - 0.5 * s2 + np.sqrt(s2) * ndtri(base)),
         "uniform": mean + np.sqrt(3.0) * std * (2.0 * base - 1.0),
     }
-    s2 = np.log(1.0 + (std / mean) ** 2)
-    samples["lognormal"] = np.exp(np.log(mean) - 0.5 * s2 + np.sqrt(s2) * ndtri(base))
 
     probes = [(x, t) for t in _floats(cfg["mc"]["ts"]) for x in _floats(cfg["mc"]["xs"])]
     sol = solve_cdf_fv(spec, phi, phys, grid)

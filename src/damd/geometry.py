@@ -8,7 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ContractError, Grid2D, kl_divergence, pdf_from_cdf
-from .mdist import ClosureSpec, StatParams, solve_cdf_characteristics, solve_cdf_fv
+from .mdist import (ClosureSpec, StatParams, resolve_deterministic_inputs,
+                    solve_cdf_characteristics, solve_cdf_fv)
 from .physics import PhysicsConfig
 
 FIM_DENSITY_FLOOR = 1e-12
@@ -95,9 +96,8 @@ def kl_gain_profile(spec: ClosureSpec, phi_prior: StatParams,
     """KL divergence of the posterior forecast from the prior forecast as a
     function of x at time t.  Returns (x_nodes, dkl)."""
     xs = grid.x_nodes
+    deterministic_inputs = resolve_deterministic_inputs(spec, deterministic_inputs)
     if spec.family == "exact_deterministic_k":
-        if deterministic_inputs is None:
-            deterministic_inputs = False
         slices = {
             "prior": [solve_cdf_characteristics(phi_prior.get("k_mean"), phi_prior,
                                                 cfg, x, t, grid.u_nodes,

@@ -6,7 +6,16 @@ The grid solver (`solve_cdf_fv`) moves F along the characteristics of the x-
 and U-drift, reading it at each step's departure points by linear
 interpolation, and takes the U-diffusion by backward Euler. Interpolation
 weights are convex and the diffusion solve is an M-matrix system, so every
-step keeps each U-slice a monotone CDF with exact boundary rows."""
+step keeps each U-slice a monotone CDF with exact boundary rows.
+
+Only the x-shift couples x-nodes: with c = v dt / dx, node i reads nodes
+i - floor(c) and, when c is fractional, i - floor(c) - 1 of the step before;
+the U-drift, the closure and the U-diffusion act on one x-node at a time. So
+the U-slice at one node after n steps depends only on its backward
+characteristic cone, rows i - (floor(c) + [c fractional]) m .. i - floor(c) m
+at m steps before the end (clipped at x_min). A forecast of one slice
+advances just those rows, with the same arithmetic on each row as the
+full-field solve, so its result is bit-identical to it."""
 
 from __future__ import annotations
 
@@ -182,6 +191,17 @@ def _trunc_gauss_cdf(u, mean, std, u_min, u_max):
     return np.clip((ndtr((np.asarray(u, dtype=float) - mean) / std) - lo) / span, 0.0, 1.0)
 
 
+def resolve_deterministic_inputs(spec: ClosureSpec,
+                                 deterministic_inputs: bool | None) -> bool:
+    """Whether the initial and inflow states are deterministic; None picks
+    the family default: random states for the exact closure, whose forecast
+    uncertainty comes from them alone, deterministic ones for the closures
+    of a random rate."""
+    if deterministic_inputs is None:
+        return spec.family != "exact_deterministic_k"
+    return deterministic_inputs
+
+
 def initial_boundary_cdfs(phi: StatParams, deterministic_inputs: bool,
                           cfg: PhysicsConfig, u_min: float, u_max: float):
     """Initial CDF F0(U) and inflow CDF Fb(U, t).
@@ -209,6 +229,10 @@ def initial_boundary_cdfs(phi: StatParams, deterministic_inputs: bool,
     return f0, fb
 
 
+def _nearest_node(nodes, value) -> int:
+    return int(np.argmin(np.abs(nodes - value)))
+
+
 @dataclass
 class CdfSolution:
     grid: Grid2D
@@ -218,8 +242,8 @@ class CdfSolution:
 
     def slice_at(self, x: float, t: float) -> DiscreteCdf:
         """Nearest-node U-slice as a validated CDF."""
-        it = int(np.argmin(np.abs(self.times - t)))
-        ix = int(np.argmin(np.abs(self.grid.x_nodes - x)))
+        it = _nearest_node(self.times, t)
+        ix = _nearest_node(self.grid.x_nodes, x)
         vals = np.maximum.accumulate(np.clip(self.snapshots[it, ix], 0.0, 1.0))
         vals[0], vals[-1] = 0.0, 1.0
         return DiscreteCdf(self.grid.u_nodes, vals)
@@ -271,31 +295,31 @@ def _thomas(sub, diag, sup, rhs):
 
 def _correction_evaluator(spec: ClosureSpec, phi: StatParams, X, U,
                           u_max: float, v: float):
-    """Build corr(t) for the solver loop with the t-independent part of t*
-    precomputed.
+    """Build corr(t, lo, hi), the closure correction at time t on rows lo:hi
+    of the nodes X x U, with the t-independent part of t* precomputed.
 
     t* = min(t, base) with base = min(x/v, cap(U)), so for the closed-form
     families exp(alpha t*) = min/max(exp(alpha base), exp(alpha t)) by
-    monotonicity, which avoids re-evaluating exp on the full grid each step.
+    monotonicity, which avoids re-evaluating exp on the rows each step.
     """
     k = phi.get("k_mean")
     base = t_star(U, np.asarray(X, dtype=float) / v, np.inf, k, u_max)
     base = np.broadcast_to(base, np.broadcast_shapes(np.shape(X), np.shape(U)))
     if spec.family == "white_noise_k":
         corr = np.where(base > 0, 0.5 * phi.get("k_std") ** 2, 0.0)
-        return lambda t: corr
+        return lambda t, lo, hi: corr[lo:hi]
     if spec.family == "general_quadrature":
-        return lambda t: closure_correction(spec, phi, np.minimum(t, base))
+        return lambda t, lo, hi: closure_correction(spec, phi, np.minimum(t, base[lo:hi]))
     var = phi.get("k_std") ** 2
     alpha = k if spec.family == "random_constant_k" else k - 1.0 / phi.get("k_corr_len")
     if abs(alpha) < _ALPHA_LIMIT:
-        return lambda t: var * np.minimum(t, base)
+        return lambda t, lo, hi: var * np.minimum(t, base[lo:hi])
     e_base = np.exp(np.clip(alpha * base, -_EXP_CLIP, _EXP_CLIP))
     cut = np.minimum if alpha > 0 else np.maximum
 
-    def corr(t):
+    def corr(t, lo, hi):
         e_t = np.exp(np.clip(alpha * t, -_EXP_CLIP, _EXP_CLIP))
-        return var * (cut(e_base, e_t) - 1.0) / alpha
+        return var * (cut(e_base[lo:hi], e_t) - 1.0) / alpha
 
     return corr
 
@@ -346,14 +370,31 @@ def solve_cdf_fv(spec: ClosureSpec, phi: StatParams, cfg: PhysicsConfig,
     """
     if t_end is None:
         t_end = grid.t_end
-    if deterministic_inputs is None:
-        deterministic_inputs = spec.family != "exact_deterministic_k"
+    return _advance(spec, phi, cfg, grid, t_end, deterministic_inputs, store)
+
+
+def _advance(spec: ClosureSpec, phi: StatParams, cfg: PhysicsConfig,
+             grid: Grid2D, t_end: float, deterministic_inputs: bool | None,
+             store: str, cone_x: float | None = None) -> CdfSolution:
+    """The step loop of `solve_cdf_fv`, on a range of x-rows per step.
+
+    With cone_x None every row is advanced at every step. Otherwise only the
+    backward characteristic cone of the node ix nearest cone_x is: the rows
+    [ix - reach m, ix - shift m] at m steps before t_end, where shift =
+    floor(c), reach = shift + [c fractional] and c = v dt / dx, clipped at
+    row 0 and empty while the characteristic of ix is still upstream of
+    x_min. Each row read by a row of the cone is in the cone one step
+    earlier, so row ix at t_end equals the full-field solve's; rows outside
+    the cone keep stale values and only slice_at(cone_x, t_end) is valid.
+    Every row that is computed gets the same checks as in the full field.
+    """
     n_steps = max(1, int(round(t_end / grid.dt)))
     dt = t_end / n_steps
     xs, us = grid.x_nodes, grid.u_nodes
     du = grid.du
 
-    f0, fb = initial_boundary_cdfs(phi, deterministic_inputs, cfg, grid.u_min, grid.u_max)
+    f0, fb = initial_boundary_cdfs(phi, resolve_deterministic_inputs(spec, deterministic_inputs),
+                                   cfg, grid.u_min, grid.u_max)
 
     def inflow(t, u=us):
         """Inflow CDF at the times t (a column) and states u, endpoints
@@ -373,75 +414,97 @@ def solve_cdf_fv(spec: ClosureSpec, phi: StatParams, cfg: PhysicsConfig,
         c = float(round(c))
     shift = int(np.floor(c))
     theta = c - shift
-    n_in = min(shift + (theta > 0.0), grid.n_x + 1)  # nodes fed by the inflow
+    reach = shift + (theta > 0.0)  # node i reads nodes i - reach .. i - shift
+    n_in = min(reach, grid.n_x + 1)  # nodes fed by the inflow
     lag = ((xs[:n_in] - grid.x_min) / cfg.v)[:, None]
 
-    times = [0.0]
+    # rows [lo, hi) that step advances; none above top
+    if cone_x is None:
+        top = grid.n_x
+
+        def window(step):
+            return 0, grid.n_x + 1
+    else:
+        top = _nearest_node(xs, cone_x)
+
+        def window(step):
+            left = n_steps - 1 - step  # steps after this one
+            return max(top - reach * left, 0), max(top + 1 - shift * left, 0)
+
     snaps = [F.copy()] if store == "all" else None
     warnings: list = []
-    X = xs[:, None]
     U = us[None, :]
     if spec.family == "exact_deterministic_k":
         corr_fn = None
-        r = np.full(F.shape, -phi.get("k_mean"))
-        drift_pos = (U * np.exp(-r * dt) - grid.u_min) / du
+        r_all = np.full((top + 1, us.size), -phi.get("k_mean"))
+        pos_all = (U * np.exp(-r_all * dt) - grid.u_min) / du
     else:
-        corr_fn = _correction_evaluator(spec, phi, X, U, grid.u_max, cfg.v)
+        corr_fn = _correction_evaluator(spec, phi, xs[:top + 1, None], U,
+                                        grid.u_max, cfg.v)
         k_mean = phi.get("k_mean")
         sign = 1.0 if spec.sign_convention == "appendix" else -1.0
 
     for step in range(n_steps):
         t_new = (step + 1) * dt
-        if corr_fn is not None:
-            corr = corr_fn(t_new)
-            r = sign * corr - k_mean  # q2 = r U
-            drift_pos = (U * np.exp(-r * dt) - grid.u_min) / du
-        G = np.empty_like(F)
-        # the characteristics of these nodes crossed x_min only lag ago, so
-        # they have drifted for lag rather than dt; the drift step below adds
-        # dt. Node 0 is the inflow slice itself, prescribed rather than evolved.
-        scale = np.exp(r[:n_in] * (dt - lag))
-        scale[0] = 1.0
-        G[:n_in] = inflow(t_new - lag, us * scale)
-        n_out = F.shape[0] - n_in  # nodes fed by interior departure points
-        if theta == 0.0:
-            G[n_in:] = F[:n_out]
-        elif n_out > 0:
-            G[n_in:] = (1.0 - theta) * F[1:n_out + 1] + theta * F[:n_out]
+        lo, hi = window(step)
+        if lo < hi:
+            if corr_fn is None:
+                r, drift_pos = r_all[lo:hi], pos_all[lo:hi]
+            else:
+                corr = corr_fn(t_new, lo, hi)
+                r = sign * corr - k_mean  # q2 = r U
+                drift_pos = (U * np.exp(-r * dt) - grid.u_min) / du
+            G = np.empty((hi - lo, us.size))
+            # rows below n_in: their characteristics crossed x_min only lag
+            # ago, so they have drifted for lag rather than dt; the drift step
+            # below adds dt. Row 0 is the inflow slice itself, prescribed
+            # rather than evolved.
+            hi_in = min(hi, n_in)
+            if lo < hi_in:
+                scale = np.exp(r[:hi_in - lo] * (dt - lag[lo:hi_in]))
+                if lo == 0:
+                    scale[0] = 1.0
+                G[:hi_in - lo] = inflow(t_new - lag[lo:hi_in], us * scale)
+            lo_out = max(lo, n_in)  # rows fed by interior departure points
+            if lo_out < hi:
+                src = F[lo_out - shift:hi - shift]
+                if theta == 0.0:
+                    G[lo_out - lo:] = src
+                else:
+                    G[lo_out - lo:] = ((1.0 - theta) * src
+                                       + theta * F[lo_out - shift - 1:hi - shift - 1])
 
-        F = _lerp_rows(G, drift_pos)
-        if corr_fn is not None:
-            d22 = np.maximum(U * U * corr, 0.0)
-            lam = np.zeros_like(d22)  # dt d22_{j+1/2} / du^2, zero at U_max
-            lam[:, :-1] = (0.5 * dt / du ** 2) * (d22[:, :-1] + d22[:, 1:])
-            sup = -lam
-            sub = np.empty_like(lam)
-            sub[:, 0] = 0.0
-            sub[:, 1:] = sup[:, :-1]
-            diag = 1.0 - sub - sup
-            # Dirichlet rows in U
-            sup[:, 0] = sub[:, -1] = sup[:, -1] = 0.0
-            diag[:, 0] = diag[:, -1] = 1.0
-            F[:, 0], F[:, -1] = 0.0, 1.0
-            F = _thomas(sub, diag, sup, F)
-        F[:, 0], F[:, -1] = 0.0, 1.0
-        if not np.all(np.isfinite(F)):
-            raise ArithmeticError(f"non-finite CDF values at t = {t_new:g}")
-        F[0] = G[0]
-        min_diff = float(np.min(np.diff(F, axis=1)))
-        if min_diff < -MONOTONE_WARN_TOL:
-            warnings.append(f"monotonicity violation {min_diff:.3e} at t = {t_new:.6g}")
-        times.append(t_new)
+            Fs = _lerp_rows(G, drift_pos)
+            if corr_fn is not None:
+                d22 = np.maximum(U * U * corr, 0.0)
+                lam = np.zeros_like(d22)  # dt d22_{j+1/2} / du^2, zero at U_max
+                lam[:, :-1] = (0.5 * dt / du ** 2) * (d22[:, :-1] + d22[:, 1:])
+                sup = -lam
+                sub = np.empty_like(lam)
+                sub[:, 0] = 0.0
+                sub[:, 1:] = sup[:, :-1]
+                diag = 1.0 - sub - sup
+                # Dirichlet rows in U
+                sup[:, 0] = sub[:, -1] = sup[:, -1] = 0.0
+                diag[:, 0] = diag[:, -1] = 1.0
+                Fs[:, 0], Fs[:, -1] = 0.0, 1.0
+                Fs = _thomas(sub, diag, sup, Fs)
+            Fs[:, 0], Fs[:, -1] = 0.0, 1.0
+            if not np.all(np.isfinite(Fs)):
+                raise ArithmeticError(f"non-finite CDF values at t = {t_new:g}")
+            if lo == 0:
+                Fs[0] = G[0]
+            min_diff = float(np.min(np.diff(Fs, axis=1)))
+            if min_diff < -MONOTONE_WARN_TOL:
+                warnings.append(f"monotonicity violation {min_diff:.3e} at t = {t_new:.6g}")
+            F[lo:hi] = Fs
         if store == "all":
             snaps.append(F.copy())
 
+    times = np.arange(n_steps + 1) * dt
     if store == "all":
-        snapshots = np.stack(snaps)
-        out_times = np.array(times)
-    else:
-        snapshots = F[None]
-        out_times = np.array([times[-1]])
-    return CdfSolution(grid, out_times, snapshots, warnings)
+        return CdfSolution(grid, times, np.stack(snaps), warnings)
+    return CdfSolution(grid, times[-1:], F[None], warnings)
 
 
 def solve_cdf_characteristics(k: float, phi: StatParams, cfg: PhysicsConfig,

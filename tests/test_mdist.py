@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from damd import (ClosureSpec, ContractError, Grid2D, PhysicsConfig, StatParams,
-                  closure_coefficients, cramer_distance, initial_boundary_cdfs,
-                  solve_cdf_characteristics, solve_cdf_fv, t_star)
+                  closure_coefficients, cramer_distance, forecast_slice,
+                  initial_boundary_cdfs, solve_cdf_characteristics, solve_cdf_fv,
+                  t_star)
 from damd.mdist import _thomas, closure_correction
 from damd.core import empirical_cdf
 from damd.physics import forcing, make_rng
@@ -235,6 +236,15 @@ class TestCharacteristics:
         assert median == pytest.approx(expect, abs=u[1] - u[0])
 
 
+SHIFT_GRIDS = [
+    Grid2D(0.0, 1.0, 100, 0.0, 1.0, 128, 0.005, 0.3),   # v dt / dx = 0.5
+    Grid2D(0.0, 1.0, 100, 0.0, 1.0, 128, 0.015, 0.3),   # v dt / dx = 1.5
+    Grid2D(0.0, 1.0, 100, 0.0, 1.0, 128, 0.0075, 0.3),  # v dt / dx = 0.75
+    Grid2D(0.0, 1.0, 100, -0.2, 1.0, 150, 0.01, 0.3),   # u_min != 0
+]
+SHIFT_GRID_IDS = ["cfl-0.5", "cfl-1.5", "cfl-0.75", "u_min-neg"]
+
+
 class TestSolveCdfFv:
     GRID = Grid2D(0.0, 1.0, 100, 0.0, 1.0, 128, 0.01, 0.3)
 
@@ -286,12 +296,7 @@ class TestSolveCdfFv:
         fine = err(Grid2D(0.0, 1.0, 200, 0.0, 1.0, 256, 0.005, 0.3))
         assert fine < 0.6 * coarse
 
-    @pytest.mark.parametrize("grid", [
-        Grid2D(0.0, 1.0, 100, 0.0, 1.0, 128, 0.005, 0.3),   # v dt / dx = 0.5
-        Grid2D(0.0, 1.0, 100, 0.0, 1.0, 128, 0.015, 0.3),   # v dt / dx = 1.5
-        Grid2D(0.0, 1.0, 100, 0.0, 1.0, 128, 0.0075, 0.3),  # v dt / dx = 0.75
-        Grid2D(0.0, 1.0, 100, -0.2, 1.0, 150, 0.01, 0.3),   # u_min != 0
-    ], ids=["cfl-0.5", "cfl-1.5", "cfl-0.75", "u_min-neg"])
+    @pytest.mark.parametrize("grid", SHIFT_GRIDS, ids=SHIFT_GRID_IDS)
     def test_fractional_shift_and_offset_state_grid(self, grid):
         families = ("random_constant_k", "white_noise_k", "exponential_k",
                     "exact_deterministic_k")
@@ -346,3 +351,37 @@ class TestSolveCdfFv:
         rows = path.read_text().strip().splitlines()
         assert rows[0] == "t,x,U,F"
         assert len(rows) == 1 + 3 * 5 * 5
+
+
+class TestForecastCone:
+    """forecast_slice advances only the backward characteristic cone of the
+    probed node; its slice must equal the full-field solve's bit for bit."""
+
+    PAPER = Grid2D(0.0, 1.0, 200, 0.0, 1.0, 128, 0.01, 0.6)  # v dt / dx = 2
+    SIGNS = ("appendix", "main_text")
+    SPECS = [ClosureSpec(family, sign_convention=sign) for sign in SIGNS
+             for family in ("random_constant_k", "white_noise_k", "exponential_k")]
+    SPECS += [ClosureSpec("general_quadrature", sign_convention=sign,
+                          cov_fn=lambda tau: 0.04 * np.exp(-tau / 0.3),
+                          nugget=0.01, quad_points=20)
+              for sign in SIGNS]
+
+    @pytest.mark.parametrize("grid", [PAPER] + SHIFT_GRIDS,
+                             ids=["cfl-2"] + SHIFT_GRID_IDS)
+    def test_cone_slice_equals_full_field_slice(self, grid):
+        dx, t_end = grid.dx, grid.t_end
+        probes = [
+            (0.0, t_end), (dx, t_end),      # inflow-fed nodes
+            (grid.x_max, t_end),
+            (0.5 + 0.5 * dx, 0.5 * t_end),  # halfway between two nodes
+            (0.1, t_end),                   # cone empty for the early steps
+            (0.8, 0.5 * t_end),             # x > t: fed by the initial CDF
+        ]
+        for spec in self.SPECS:
+            full = {t: solve_cdf_fv(spec, PHI, PhysicsConfig(), grid, t_end=t,
+                                    store="last")
+                    for t in {t for _, t in probes}}
+            for x, t in probes:
+                cone = forecast_slice(PHI, spec, PhysicsConfig(), grid, x, t)
+                assert np.array_equal(cone.f_values, full[t].slice_at(x, t).f_values), \
+                    (spec, x, t)
