@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import csv
 import sys
 from pathlib import Path
 
@@ -17,12 +16,13 @@ import numpy as np
 
 from .assimilate import (OptimizerConfig, damd_assimilate, enkf_assimilate,
                          exact_bayes_inputs, grid_bayes_k)
-from .core import ContractError, DegenerateInputError, GaussianDist, Grid2D, empirical_cdf
+from .core import (ContractError, DegenerateInputError, GaussianDist, Grid2D,
+                   empirical_cdf, write_csv)
 from .geometry import fim_from_density_fn, fisher_information, kl_gain_profile
 from .mdist import ClosureSpec, StatParams, solve_cdf_fv
-from .physics import (KField, PhysicsConfig, analytic_state, forcing,
-                      empirical_semivariogram, generate_observations, k_field_to_csv,
-                      make_rng, sample_k_field)
+from .physics import (KField, PhysicsConfig, empirical_semivariogram, forcing,
+                      generate_observations, k_field_to_csv, make_rng,
+                      sample_k_field)
 
 _PI = np.pi
 
@@ -98,18 +98,6 @@ def write_resolved_config(cfg: dict, out_dir: Path):
             parser[section][key] = f"{val:.17g}" if isinstance(val, float) else str(val)
     with open(out_dir / "resolved_config.ini", "w") as fh:
         parser.write(fh)
-
-
-def _fmt(v) -> str:
-    return f"{v:.17g}" if isinstance(v, (float, np.floating)) else str(v)
-
-
-def write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in rows:
-            w.writerow([_fmt(v) for v in row])
 
 
 def _grid(cfg) -> Grid2D:
@@ -283,20 +271,14 @@ def cmd_verify_mc(cfg, out_dir: Path) -> int:
     rows, summary = [], []
     for (x, t) in probes:
         fv = sol.slice_at(x, t)
-        mc_cdfs = {}
+        # the exact state under a constant rate k (v = 1, as in analytic_state):
+        # the initial state (x > t) or the inflow emitted at t - x, decayed
+        # along its characteristic for min(x, t)
+        src = phys.u0 if x > t else forcing(t - x, phys)
         for fam, ks in samples.items():
-            us = np.array([
-                analytic_state(x, t,
-                               PhysicsConfig(u0=phys.u0, ub=phys.ub, a=phys.a,
-                                             nu=phys.nu, phase=phys.phase, v=phys.v,
-                                             k_field=KField.constant(k, grid.n_x)),
-                               dx=grid.dx)
-                for k in ks
-            ])
-            mc_cdfs[fam] = empirical_cdf(us, grid.u_nodes)
-            for u, f_mc, f_fv in zip(grid.u_nodes, mc_cdfs[fam].f_values, fv.f_values):
+            c = empirical_cdf(src * np.exp(-ks * min(x, t)), grid.u_nodes)
+            for u, f_mc, f_fv in zip(grid.u_nodes, c.f_values, fv.f_values):
                 rows.append([fam, x, t, u, f_mc, f_fv])
-        for fam, c in mc_cdfs.items():
             sup = float(np.max(np.abs(c.f_values - fv.f_values)))
             summary.append([fam, x, t, sup])
             print(f"{fam:10s} (x={x:g}, t={t:g}): sup|F_mc - F_fv| = {sup:.4f}")

@@ -1,7 +1,9 @@
-"""Grids, discrete distribution containers and distances shared by all modules."""
+"""Grids, discrete distribution containers, distances and the CSV writer
+shared by all modules."""
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -206,3 +208,17 @@ def empirical_cdf(samples, u_nodes) -> DiscreteCdf:
     u = np.asarray(u_nodes, dtype=float)
     f = np.searchsorted(s, u, side="right") / s.size
     return DiscreteCdf(u, f)
+
+
+def _fmt(v) -> str:
+    return f"{v:.17g}" if isinstance(v, (float, np.floating)) else str(v)
+
+
+def write_csv(path, header, rows):
+    """Write the header and rows with `csv.writer` (CRLF line ends): floats as
+    %.17g text, which float() reads back exactly, other values by str()."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for row in rows:
+            w.writerow([_fmt(v) for v in row])

@@ -252,44 +252,45 @@ class CdfSolution:
         return float(np.min(np.diff(self.snapshots, axis=2)))
 
     def to_csv(self, path):
-        import csv
+        """Write one row t,x,U,F per stored node under the header t,x,U,F,
+        t-major, then x, then U: every number as %.17g text, which float()
+        reads back exactly, and CRLF line ends, the bytes `write_csv` writes.
 
+        t, x and U are formatted once each; a snapshot is one string, its
+        F values filled into a row template by a single %-operation, so the
+        file is never held whole in memory."""
+        xs = [f"{x:.17g}" for x in self.grid.x_nodes]
+        us = [f"{u:.17g}" for u in self.grid.u_nodes]
+        tails = [f"{x},{u},%.17g\r\n" for x in xs for u in us]
         with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["t", "x", "U", "F"])
-            xs, us = self.grid.x_nodes, self.grid.u_nodes
-            for it, t in enumerate(self.times):
-                for ix, x in enumerate(xs):
-                    for iu, u in enumerate(us):
-                        w.writerow([f"{t:.17g}", f"{x:.17g}", f"{u:.17g}",
-                                    f"{self.snapshots[it, ix, iu]:.17g}"])
+            fh.write("t,x,U,F\r\n")
+            for t, snap in zip(self.times, self.snapshots):
+                prefix = f"{t:.17g},"
+                fh.write((prefix + prefix.join(tails)) % tuple(snap.ravel().tolist()))
 
 
 def _thomas(sub, diag, sup, rhs):
-    """Solve independent tridiagonal systems along the last axis.
+    """Solve independent tridiagonal systems along the last axis; the four
+    arrays share one shape, and sub[..., 0] and sup[..., -1] are ignored.
 
-    The systems are concatenated into one large banded matrix with the
+    The systems are concatenated into one large tridiagonal matrix with the
     off-diagonal entries at block boundaries zeroed, so a single LAPACK
-    banded solve handles the whole batch.
+    `dgtsv` call (Gaussian elimination with partial pivoting) solves the whole
+    batch. Raises `np.linalg.LinAlgError` on an exactly zero pivot.
     """
-    from scipy.linalg import solve_banded
+    from scipy.linalg.lapack import dgtsv
 
     shape = rhs.shape
     n = shape[-1]
-    sub, diag, sup, rhs = (np.ascontiguousarray(a, dtype=float).reshape(-1, n)
-                           for a in np.broadcast_arrays(sub, diag, sup, rhs))
-    nsys = rhs.shape[0]
-    size = nsys * n
-    ab = np.zeros((3, size))
-    ab[1] = diag.reshape(-1)
-    ab[0, 1:] = sup.reshape(-1)[:-1]
-    ab[2, :-1] = sub.reshape(-1)[1:]
-    if nsys > 1:
-        cut = np.arange(1, nsys) * n
-        ab[0, cut] = 0.0      # no coupling from the previous block
-        ab[2, cut - 1] = 0.0
-    x = solve_banded((1, 1), ab, rhs.reshape(-1), overwrite_ab=True,
-                     overwrite_b=False, check_finite=False)
+    sub, diag, sup, rhs = (np.ascontiguousarray(a, dtype=float).reshape(-1)
+                           for a in (sub, diag, sup, rhs))
+    dl, du = sub[1:].copy(), sup[:-1].copy()
+    dl[n - 1::n] = du[n - 1::n] = 0.0  # no coupling between neighbouring blocks
+    *_, x, info = dgtsv(dl, diag, du, rhs, overwrite_dl=1, overwrite_du=1)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"singular tridiagonal system: zero pivot {info}")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dgtsv")
     return x.reshape(shape)
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ContractError, Grid2D
+from .core import ContractError, Grid2D, write_csv
 
 COV_JITTER = 1e-10
 
@@ -90,11 +90,8 @@ class MeasurementSet:
         return iter(self.records)
 
     def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["idx", "x", "t", "d", "sigma_eps"])
-            for i, r in enumerate(self.records):
-                w.writerow([i, f"{r.x:.17g}", f"{r.t:.17g}", f"{r.d:.17g}", f"{r.sigma_eps:.17g}"])
+        write_csv(path, ["idx", "x", "t", "d", "sigma_eps"],
+                  ([i, r.x, r.t, r.d, r.sigma_eps] for i, r in enumerate(self.records)))
 
     @classmethod
     def from_csv(cls, path):
@@ -108,11 +105,7 @@ class MeasurementSet:
 
 def k_field_to_csv(kf: KField, grid: Grid2D, path):
     xs = grid.x_min + (np.arange(len(kf.node_values)) + 0.5) * grid.dx
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x", "k"])
-        for x, k in zip(xs, kf.node_values):
-            w.writerow([f"{x:.17g}", f"{k:.17g}"])
+    write_csv(path, ["x", "k"], zip(xs, kf.node_values))
 
 
 def forcing(t, cfg: PhysicsConfig):

@@ -1,3 +1,5 @@
+import csv
+import io
 import warnings
 
 import numpy as np
@@ -190,6 +192,31 @@ class TestThomas:
             A = np.diag(diag[s]) + np.diag(sup[s][:-1], 1) + np.diag(sub[s][1:], -1)
             assert np.allclose(x[s], np.linalg.solve(A, rhs[s]), atol=1e-12)
 
+    def test_batch_equals_solve_banded_bit_for_bit(self):
+        from scipy.linalg import solve_banded
+
+        rng = make_rng(22, 0)
+        n, nsys = 33, 7
+        sub, sup = rng.uniform(-1.0, 1.0, (2, nsys, n))  # pivoting rows included
+        diag = rng.uniform(0.5, 1.5, (nsys, n))
+        rhs = rng.standard_normal((nsys, n))
+        inputs = [a.copy() for a in (sub, diag, sup, rhs)]
+        ab = np.zeros((3, nsys * n))
+        ab[0, 1:] = sup.ravel()[:-1]
+        ab[1] = diag.ravel()
+        ab[2, :-1] = sub.ravel()[1:]
+        cut = np.arange(1, nsys) * n
+        ab[0, cut] = ab[2, cut - 1] = 0.0
+        ref = solve_banded((1, 1), ab, rhs.ravel()).reshape(nsys, n)
+        assert np.array_equal(_thomas(sub, diag, sup, rhs), ref)
+        for a, b in zip(inputs, (sub, diag, sup, rhs)):
+            assert np.array_equal(a, b)
+
+    def test_zero_pivot_raises(self):
+        ones = np.ones((2, 2))  # [[1, 1], [1, 1]] twice: the second pivot is 0
+        with pytest.raises(np.linalg.LinAlgError):
+            _thomas(ones, ones, ones, ones)
+
 
 class TestCharacteristics:
     def test_initial_time_recovers_prior(self):
@@ -351,6 +378,37 @@ class TestSolveCdfFv:
         rows = path.read_text().strip().splitlines()
         assert rows[0] == "t,x,U,F"
         assert len(rows) == 1 + 3 * 5 * 5
+
+
+def _csv_writer_bytes(sol):
+    """cdf_profile.csv as a csv.writer loop over every node writes it."""
+    buf = io.StringIO(newline="")
+    w = csv.writer(buf)
+    w.writerow(["t", "x", "U", "F"])
+    for it, t in enumerate(sol.times):
+        for ix, x in enumerate(sol.grid.x_nodes):
+            for iu, u in enumerate(sol.grid.u_nodes):
+                w.writerow([f"{v:.17g}" for v in (t, x, u, sol.snapshots[it, ix, iu])])
+    return buf.getvalue().encode()
+
+
+class TestCdfCsv:
+    GRID = Grid2D(0.0, 1.0, 8, 0.0, 1.0, 16, 0.05, 0.3)
+    NEG = Grid2D(0.0, 1.0, 8, -0.2, 1.0, 12, 0.05, 0.3)
+
+    @pytest.mark.parametrize("grid, store", [(GRID, "all"), (GRID, "last"), (NEG, "all")],
+                             ids=["store-all", "store-last", "u_min-neg"])
+    def test_bytes_match_csv_writer_and_f_round_trips(self, tmp_path, grid, store):
+        sol = solve_cdf_fv(ClosureSpec("random_constant_k"), PHI, PhysicsConfig(),
+                           grid, deterministic_inputs=False, store=store)
+        path = tmp_path / "cdf.csv"
+        sol.to_csv(path)
+        data = path.read_bytes()
+        assert data == _csv_writer_bytes(sol)
+        if grid.u_min < 0:  # negative numbers and exponent forms are written
+            assert b",-0.2" in data and b"e-" in data
+        f = [float(line.split(",")[3]) for line in data.decode().splitlines()[1:]]
+        assert np.array_equal(f, sol.snapshots.ravel())
 
 
 class TestForecastCone:
