@@ -11,8 +11,8 @@ from .core import (ContractError, DegenerateInputError, DiscreteCdf, DiscretePdf
                    GaussianDist, Grid2D, cdf_from_pdf, cramer_distance, pdf_from_cdf)
 from .mdist import (ClosureSpec, StatParams, _advance, resolve_deterministic_inputs,
                     solve_cdf_characteristics)
-from .physics import (MeasurementSet, PhysicsConfig, forcing, make_rng,
-                      sample_k_field, solve_physical_fv)
+from .physics import (MeasurementSet, PhysicsConfig, characteristic_origin,
+                      forcing, make_rng, sample_k_field, solve_physical_fv)
 
 # coordinates kept positive by optimizing their logarithm
 LOG_COORDS = frozenset({"k_std", "sigma0", "sigmab", "k_corr_len"})
@@ -200,10 +200,11 @@ def damd_loss(phi: StatParams, spec: ClosureSpec, cfg: PhysicsConfig,
     return cramer_distance(target_cdf, sl)
 
 
-def _default_coords(spec: ClosureSpec, m):
+def _default_coords(spec: ClosureSpec, m, v: float):
     if spec.family == "exact_deterministic_k":
         # each datum informs the region its characteristic originates from
-        return ("mu0", "sigma0") if m.x > m.t else ("mub", "sigmab")
+        from_ic, _, _ = characteristic_origin(m.x, m.t, v)
+        return ("mu0", "sigma0") if from_ic else ("mub", "sigmab")
     if spec.family == "exponential_k":
         return ("k_mean", "k_std", "k_corr_len")
     return ("k_mean", "k_std")
@@ -223,7 +224,7 @@ def damd_assimilate(measurements: MeasurementSet, phi0: StatParams,
         prior_slice = forecast_slice(phi, spec, cfg, grid, m.x, m.t,
                                      deterministic_inputs=deterministic_inputs)
         _, target = observational_posterior(prior_slice, m.d, m.sigma_eps)
-        active = coords if coords is not None else _default_coords(spec, m)
+        active = coords if coords is not None else _default_coords(spec, m, cfg.v)
 
         def objective(p):
             return damd_loss(p, spec, cfg, grid, m, target,
@@ -242,20 +243,20 @@ def exact_bayes_inputs(measurements: MeasurementSet, prior0: GaussianDist,
     """Conjugate Gaussian posteriors for the uncertain initial and boundary
     states under the deterministic-rate model.
 
-    A datum with x > t observes u = U0 * exp(-k t); one with x <= t observes
-    u = (Ub + s(t - x)) * exp(-k x).  Both maps are linear in the unknown, so
-    the Gaussian prior stays Gaussian.
+    A datum with x > v t observes u = U0 * exp(-k t); one with x <= v t
+    observes u = (Ub + s(t - x / v)) * exp(-k x / v).  Both maps are linear in
+    the unknown, so the Gaussian prior stays Gaussian.
     """
     prec0, num0 = 1.0 / prior0.std ** 2, prior0.mean / prior0.std ** 2
     precb, numb = 1.0 / priorb.std ** 2, priorb.mean / priorb.std ** 2
     for m in measurements:
-        if m.x > m.t:
-            a = np.exp(-k * m.t)
+        from_ic, travel, emitted = characteristic_origin(m.x, m.t, cfg.v)
+        a = np.exp(-k * travel)
+        if from_ic:
             prec0 += a * a / m.sigma_eps ** 2
             num0 += a * m.d / m.sigma_eps ** 2
         else:
-            a = np.exp(-k * m.x)
-            offset = a * (forcing(m.t - m.x, cfg) - cfg.ub)  # deterministic sinusoid
+            offset = a * (forcing(emitted, cfg) - cfg.ub)  # deterministic sinusoid
             precb += a * a / m.sigma_eps ** 2
             numb += a * (m.d - offset) / m.sigma_eps ** 2
     post0 = GaussianDist(num0 / prec0, np.sqrt(1.0 / prec0))
@@ -270,10 +271,8 @@ def grid_bayes_k(measurements: MeasurementSet, prior: GaussianDist,
     K = np.asarray(k_nodes, dtype=float)
     logp = -0.5 * ((K - prior.mean) / prior.std) ** 2
     for m in measurements:
-        if m.x > m.t:
-            u = cfg.u0 * np.exp(-K * m.t)
-        else:
-            u = forcing(m.t - m.x, cfg) * np.exp(-K * m.x)
+        from_ic, travel, emitted = characteristic_origin(m.x, m.t, cfg.v)
+        u = (cfg.u0 if from_ic else forcing(emitted, cfg)) * np.exp(-K * travel)
         logp = logp - 0.5 * ((m.d - u) / m.sigma_eps) ** 2
     logp -= np.max(logp)
     dens = np.exp(logp)

@@ -20,9 +20,9 @@ from .core import (ContractError, DegenerateInputError, GaussianDist, Grid2D,
                    empirical_cdf, write_csv)
 from .geometry import fim_from_density_fn, fisher_information, kl_gain_profile
 from .mdist import ClosureSpec, StatParams, solve_cdf_fv
-from .physics import (KField, PhysicsConfig, empirical_semivariogram, forcing,
-                      generate_observations, k_field_to_csv, make_rng,
-                      sample_k_field)
+from .physics import (KField, PhysicsConfig, characteristic_origin,
+                      empirical_semivariogram, forcing, generate_observations,
+                      k_field_to_csv, make_rng, sample_k_field)
 
 _PI = np.pi
 
@@ -271,12 +271,13 @@ def cmd_verify_mc(cfg, out_dir: Path) -> int:
     rows, summary = [], []
     for (x, t) in probes:
         fv = sol.slice_at(x, t)
-        # the exact state under a constant rate k (v = 1, as in analytic_state):
-        # the initial state (x > t) or the inflow emitted at t - x, decayed
-        # along its characteristic for min(x, t)
-        src = phys.u0 if x > t else forcing(t - x, phys)
+        # the exact state under a constant rate k, as in analytic_state: the
+        # initial state or the inflow its characteristic carries, decayed
+        # for the time it travelled
+        from_ic, travel, emitted = characteristic_origin(x, t, phys.v)
+        src = phys.u0 if from_ic else forcing(emitted, phys)
         for fam, ks in samples.items():
-            c = empirical_cdf(src * np.exp(-ks * min(x, t)), grid.u_nodes)
+            c = empirical_cdf(src * np.exp(-ks * travel), grid.u_nodes)
             for u, f_mc, f_fv in zip(grid.u_nodes, c.f_values, fv.f_values):
                 rows.append([fam, x, t, u, f_mc, f_fv])
             sup = float(np.max(np.abs(c.f_values - fv.f_values)))

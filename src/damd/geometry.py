@@ -97,27 +97,18 @@ def kl_gain_profile(spec: ClosureSpec, phi_prior: StatParams,
     function of x at time t.  Returns (x_nodes, dkl)."""
     xs = grid.x_nodes
     deterministic_inputs = resolve_deterministic_inputs(spec, deterministic_inputs)
-    if spec.family == "exact_deterministic_k":
-        slices = {
-            "prior": [solve_cdf_characteristics(phi_prior.get("k_mean"), phi_prior,
-                                                cfg, x, t, grid.u_nodes,
-                                                deterministic_inputs) for x in xs],
-            "post": [solve_cdf_characteristics(phi_post.get("k_mean"), phi_post,
-                                               cfg, x, t, grid.u_nodes,
-                                               deterministic_inputs) for x in xs],
-        }
-    else:
-        sols = {
-            "prior": solve_cdf_fv(spec, phi_prior, cfg, grid, t_end=t,
-                                  deterministic_inputs=deterministic_inputs,
-                                  store="last"),
-            "post": solve_cdf_fv(spec, phi_post, cfg, grid, t_end=t,
-                                 deterministic_inputs=deterministic_inputs,
-                                 store="last"),
-        }
-        slices = {key: [sol.slice_at(x, t) for x in xs] for key, sol in sols.items()}
-    dkl = np.array([
-        kl_divergence(pdf_from_cdf(po), pdf_from_cdf(pr))
-        for po, pr in zip(slices["post"], slices["prior"])
-    ])
+
+    def slicer(phi):
+        """The forecast U-slice at (x, t) under phi, as a function of x; a
+        grid solve keeps one U-row per x-node rather than a list of slices."""
+        if spec.family == "exact_deterministic_k":
+            return lambda x: solve_cdf_characteristics(phi.get("k_mean"), phi, cfg, x, t,
+                                                       grid.u_nodes, deterministic_inputs)
+        sol = solve_cdf_fv(spec, phi, cfg, grid, t_end=t,
+                           deterministic_inputs=deterministic_inputs, store="last")
+        return lambda x: sol.slice_at(x, t)
+
+    prior, post = (slicer(phi) for phi in (phi_prior, phi_post))
+    dkl = np.array([kl_divergence(pdf_from_cdf(post(x)), pdf_from_cdf(prior(x)))
+                    for x in xs])
     return xs, dkl

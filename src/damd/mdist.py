@@ -2,6 +2,12 @@
 solution on an (x, U) grid or, in the deterministic-rate case, exactly by
 characteristics.
 
+One evaluator gives the closure: `_closure_evaluator` is the only code that
+tells the families apart, mapping memory horizons t* to the variance
+correction I(t*), and `_drift_diffusion` the only code that reads the sign
+convention, mapping I to the drift and the diffusion. `closure_correction`,
+`closure_coefficients` and the grid solver's step loop all go through both.
+
 The grid solver (`solve_cdf_fv`) moves F along the characteristics of the x-
 and U-drift, reading it at each step's departure points by linear
 interpolation, and takes the U-diffusion by backward Euler. Interpolation
@@ -26,7 +32,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .core import ContractError, DiscreteCdf, Grid2D
-from .physics import PhysicsConfig, forcing
+from .physics import PhysicsConfig, characteristic_origin, forcing
 
 FAMILIES = (
     "exact_deterministic_k",
@@ -106,7 +112,9 @@ class ClosureCoeffs:
 
 
 def t_star(U, x, t, k_mean, u_max):
-    """Memory horizon min{t, x/v, <k>^-1 ln(u_max / U)} (v = 1).
+    """Memory horizon min{t, x, <k>^-1 ln(u_max / U)}, with x already divided
+    by the speed v: x / v is the time the backward characteristic takes to
+    reach the inflow boundary at x = 0.
 
     The log term diverges as U -> 0 and is skipped when <k> <= 0, where the
     corresponding backward characteristic never exits through U = u_max.
@@ -123,44 +131,70 @@ def t_star(U, x, t, k_mean, u_max):
     return float(out) if out.ndim == 0 else out
 
 
-def _expm1_over(alpha, ts):
-    """(exp(alpha * ts) - 1) / alpha with the removable alpha -> 0 limit."""
-    if abs(alpha) < _ALPHA_LIMIT:
-        return np.asarray(ts, dtype=float).copy()
-    ex = np.exp(np.clip(alpha * np.asarray(ts, dtype=float), -_EXP_CLIP, _EXP_CLIP))
-    return (ex - 1.0) / alpha
+def _closure_evaluator(spec: ClosureSpec, phi: StatParams, base):
+    """corr(t, rows) = I(min(t, base[rows])), the variance correction I(t*)
+    that enters both the drift and the diffusion, for t* = min(t, base) with
+    base the t-independent part of the memory horizon, t_star(U, x/v, inf).
+    rows indexes base: a slice of x-rows, or ... for all of it.
+
+    The only place where the closure families differ. For the closed forms
+    exp(alpha t*) = min/max(exp(alpha base), exp(alpha t)) by monotonicity,
+    so exp is evaluated on base once, not again at each t.
+    """
+    base = np.asarray(base, dtype=float)
+    if spec.family == "exact_deterministic_k":
+        return lambda t, rows: np.zeros_like(base[rows])
+    k = phi.get("k_mean")
+    var = phi.get("k_std") ** 2
+    if spec.family == "white_noise_k":
+        return lambda t, rows: np.where(np.minimum(t, base[rows]) > 0, 0.5 * var, 0.0)
+    if spec.family == "general_quadrature":
+        def quadrature(t, rows):
+            ts = np.minimum(t, base[rows])
+            out = np.zeros_like(ts)
+            if spec.cov_fn is not None:
+                n = spec.quad_points
+                w = np.linspace(0.0, 1.0, n + 1)
+                flat = ts.reshape(-1)
+                res = np.empty_like(flat)
+                chunk = max(1, int(2e7) // (n + 1))
+                for lo in range(0, flat.size, chunk):
+                    tau = flat[lo:lo + chunk, None] * w  # each point uses its own [0, t*]
+                    integrand = np.exp(np.clip(k * tau, -_EXP_CLIP, _EXP_CLIP)) * spec.cov_fn(tau)
+                    res[lo:lo + chunk] = np.trapezoid(integrand, tau, axis=-1)
+                out = res.reshape(ts.shape)
+            if spec.nugget:
+                out = out + np.where(ts > 0, 0.5 * spec.nugget, 0.0)
+            return out
+
+        return quadrature
+    alpha = k if spec.family == "random_constant_k" else k - 1.0 / phi.get("k_corr_len")
+    if abs(alpha) < _ALPHA_LIMIT:  # the removable limit of (exp(alpha t*) - 1) / alpha
+        return lambda t, rows: var * np.minimum(t, base[rows])
+    e_base = np.exp(np.clip(alpha * base, -_EXP_CLIP, _EXP_CLIP))
+    cut = np.minimum if alpha > 0 else np.maximum
+
+    def closed_form(t, rows):
+        e_t = np.exp(np.clip(alpha * t, -_EXP_CLIP, _EXP_CLIP))
+        return var * (cut(e_base[rows], e_t) - 1.0) / alpha
+
+    return closed_form
+
+
+def _drift_diffusion(spec: ClosureSpec, phi: StatParams, corr, U):
+    """The CDF-equation coefficients from the correction corr = I(t*): the
+    drift rate r, with q2 = r U, and the diffusion d22 = max(U^2 I, 0).
+
+    The only place that reads the sign convention: the appendix adds U I to
+    the drift -<k> U, the main text subtracts it.
+    """
+    sign = 1.0 if spec.sign_convention == "appendix" else -1.0
+    return sign * corr - phi.get("k_mean"), np.maximum(U * U * corr, 0.0)
 
 
 def closure_correction(spec: ClosureSpec, phi: StatParams, ts):
-    """Variance correction I(t*) entering both the drift and the diffusion."""
-    ts = np.asarray(ts, dtype=float)
-    if spec.family == "exact_deterministic_k":
-        return np.zeros_like(ts)
-    k = phi.get("k_mean")
-    var = phi.get("k_std") ** 2
-    if spec.family == "random_constant_k":
-        return var * _expm1_over(k, ts)
-    if spec.family == "white_noise_k":
-        return np.where(ts > 0, 0.5 * var, 0.0)
-    if spec.family == "exponential_k":
-        alpha = k - 1.0 / phi.get("k_corr_len")
-        return var * _expm1_over(alpha, ts)
-    # general_quadrature
-    out = np.zeros_like(ts)
-    if spec.cov_fn is not None:
-        n = spec.quad_points
-        w = np.linspace(0.0, 1.0, n + 1)
-        flat = ts.reshape(-1)
-        res = np.empty_like(flat)
-        chunk = max(1, int(2e7) // (n + 1))
-        for lo in range(0, flat.size, chunk):
-            tau = flat[lo:lo + chunk, None] * w  # each point uses its own [0, t*]
-            integrand = np.exp(np.clip(k * tau, -_EXP_CLIP, _EXP_CLIP)) * spec.cov_fn(tau)
-            res[lo:lo + chunk] = np.trapezoid(integrand, tau, axis=-1)
-        out = res.reshape(ts.shape)
-    if spec.nugget:
-        out = out + np.where(ts > 0, 0.5 * spec.nugget, 0.0)
-    return out
+    """Variance correction I(t*) at the memory horizons ts."""
+    return _closure_evaluator(spec, phi, ts)(np.inf, ...)
 
 
 def closure_coefficients(spec: ClosureSpec, phi: StatParams, x, t, U,
@@ -168,19 +202,9 @@ def closure_coefficients(spec: ClosureSpec, phi: StatParams, x, t, U,
     """Drift and diffusion of the CDF equation at (x, t, U), broadcasting over
     array-valued x and U."""
     U = np.asarray(U, dtype=float)
-    if spec.family == "exact_deterministic_k":
-        q2 = -phi.get("k_mean") * U
-        return ClosureCoeffs(v, q2, np.zeros_like(q2))
-    k = phi.get("k_mean")
-    ts = t_star(U, np.asarray(x, dtype=float) / v, t, k, u_max)
-    corr = closure_correction(spec, phi, ts)
-    q2_base = -k * U
-    if spec.sign_convention == "appendix":
-        q2 = q2_base + U * corr
-    else:
-        q2 = q2_base - U * corr
-    d22 = np.maximum(U * U * corr, 0.0)
-    q2, d22 = np.broadcast_arrays(q2, d22)
+    base = t_star(U, np.asarray(x, dtype=float) / v, np.inf, phi.get("k_mean"), u_max)
+    r, d22 = _drift_diffusion(spec, phi, _closure_evaluator(spec, phi, base)(t, ...), U)
+    q2, d22 = np.broadcast_arrays(r * U, d22)
     return ClosureCoeffs(v, np.array(q2), np.array(d22))
 
 
@@ -294,37 +318,6 @@ def _thomas(sub, diag, sup, rhs):
     return x.reshape(shape)
 
 
-def _correction_evaluator(spec: ClosureSpec, phi: StatParams, X, U,
-                          u_max: float, v: float):
-    """Build corr(t, lo, hi), the closure correction at time t on rows lo:hi
-    of the nodes X x U, with the t-independent part of t* precomputed.
-
-    t* = min(t, base) with base = min(x/v, cap(U)), so for the closed-form
-    families exp(alpha t*) = min/max(exp(alpha base), exp(alpha t)) by
-    monotonicity, which avoids re-evaluating exp on the rows each step.
-    """
-    k = phi.get("k_mean")
-    base = t_star(U, np.asarray(X, dtype=float) / v, np.inf, k, u_max)
-    base = np.broadcast_to(base, np.broadcast_shapes(np.shape(X), np.shape(U)))
-    if spec.family == "white_noise_k":
-        corr = np.where(base > 0, 0.5 * phi.get("k_std") ** 2, 0.0)
-        return lambda t, lo, hi: corr[lo:hi]
-    if spec.family == "general_quadrature":
-        return lambda t, lo, hi: closure_correction(spec, phi, np.minimum(t, base[lo:hi]))
-    var = phi.get("k_std") ** 2
-    alpha = k if spec.family == "random_constant_k" else k - 1.0 / phi.get("k_corr_len")
-    if abs(alpha) < _ALPHA_LIMIT:
-        return lambda t, lo, hi: var * np.minimum(t, base[lo:hi])
-    e_base = np.exp(np.clip(alpha * base, -_EXP_CLIP, _EXP_CLIP))
-    cut = np.minimum if alpha > 0 else np.maximum
-
-    def corr(t, lo, hi):
-        e_t = np.exp(np.clip(alpha * t, -_EXP_CLIP, _EXP_CLIP))
-        return var * (cut(e_base[lo:hi], e_t) - 1.0) / alpha
-
-    return corr
-
-
 def _lerp_rows(F, pos):
     """Read row i of F at the fractional node positions pos[i] by linear
     interpolation between the two nodes around each position; positions
@@ -435,25 +428,22 @@ def _advance(spec: ClosureSpec, phi: StatParams, cfg: PhysicsConfig,
     snaps = [F.copy()] if store == "all" else None
     warnings: list = []
     U = us[None, :]
-    if spec.family == "exact_deterministic_k":
-        corr_fn = None
-        r_all = np.full((top + 1, us.size), -phi.get("k_mean"))
+    travel = (xs[:top + 1, None] - grid.x_min) / cfg.v  # from the inflow at x_min
+    corr_at = _closure_evaluator(spec, phi, t_star(U, travel, np.inf, phi.get("k_mean"),
+                                                   grid.u_max))
+    exact = spec.family == "exact_deterministic_k"
+    if exact:  # r = -<k> at every t, and no diffusion
+        r_all, _ = _drift_diffusion(spec, phi, corr_at(0.0, ...), U)
         pos_all = (U * np.exp(-r_all * dt) - grid.u_min) / du
-    else:
-        corr_fn = _correction_evaluator(spec, phi, xs[:top + 1, None], U,
-                                        grid.u_max, cfg.v)
-        k_mean = phi.get("k_mean")
-        sign = 1.0 if spec.sign_convention == "appendix" else -1.0
 
     for step in range(n_steps):
         t_new = (step + 1) * dt
         lo, hi = window(step)
         if lo < hi:
-            if corr_fn is None:
+            if exact:
                 r, drift_pos = r_all[lo:hi], pos_all[lo:hi]
             else:
-                corr = corr_fn(t_new, lo, hi)
-                r = sign * corr - k_mean  # q2 = r U
+                r, d22 = _drift_diffusion(spec, phi, corr_at(t_new, slice(lo, hi)), U)
                 drift_pos = (U * np.exp(-r * dt) - grid.u_min) / du
             G = np.empty((hi - lo, us.size))
             # rows below n_in: their characteristics crossed x_min only lag
@@ -476,8 +466,7 @@ def _advance(spec: ClosureSpec, phi: StatParams, cfg: PhysicsConfig,
                                        + theta * F[lo_out - shift - 1:hi - shift - 1])
 
             Fs = _lerp_rows(G, drift_pos)
-            if corr_fn is not None:
-                d22 = np.maximum(U * U * corr, 0.0)
+            if not exact:
                 lam = np.zeros_like(d22)  # dt d22_{j+1/2} / du^2, zero at U_max
                 lam[:, :-1] = (0.5 * dt / du ** 2) * (d22[:, :-1] + d22[:, 1:])
                 sup = -lam
@@ -513,16 +502,15 @@ def solve_cdf_characteristics(k: float, phi: StatParams, cfg: PhysicsConfig,
                               deterministic_inputs: bool = False) -> DiscreteCdf:
     """Exact solution of the deterministic-rate CDF equation at one (x, t).
 
-    x > t pulls the initial CDF back along the characteristic, x <= t the
-    inflow CDF; either way the state argument is amplified by the accumulated
-    decay factor.
+    x > v t pulls the initial CDF back along the characteristic, x <= v t the
+    inflow CDF emitted at t - x / v; either way the state argument is
+    amplified by the decay accumulated over the travel time min(t, x / v).
     """
     u = np.asarray(u_nodes, dtype=float)
     f0, fb = initial_boundary_cdfs(phi, deterministic_inputs, cfg, u[0], u[-1])
-    if x > t:
-        vals = f0(u * np.exp(k * t))
-    else:
-        vals = fb(u * np.exp(k * x), t - x)
+    from_ic, travel, emitted = characteristic_origin(x, t, cfg.v)
+    amplified = u * np.exp(k * travel)
+    vals = f0(amplified) if from_ic else fb(amplified, emitted)
     vals = np.clip(vals, 0.0, 1.0)
     vals[0], vals[-1] = 0.0, 1.0
     return DiscreteCdf(u, vals)

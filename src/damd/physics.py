@@ -127,11 +127,24 @@ def _k_line_integral(kf: KField, dx: float, x_lo, x_hi):
     return antider(x_hi) - antider(x_lo)
 
 
-def analytic_state(x, t, cfg: PhysicsConfig, dx: float | None = None):
-    """Exact solution along characteristics (unit slope since v = 1).
+def characteristic_origin(x, t, v):
+    """Where the characteristic of speed v through (x, t) starts.
 
-    x > t: the initial state decayed over [x - t, x]; x <= t: the boundary
-    signal emitted at t - x, decayed over [0, x].
+    Returns (from_ic, travel, emitted): whether it starts on the initial line
+    (x > v t) rather than at the inflow boundary x = 0, the time it has
+    travelled, min(t, x / v), and the time t - x / v at which it crossed
+    x = 0, which is the emission time of the inflow it carries when x <= v t.
+    """
+    x_v = x / v
+    return x > v * t, np.minimum(t, x_v), t - x_v
+
+
+def analytic_state(x, t, cfg: PhysicsConfig, dx: float | None = None):
+    """Exact solution along characteristics.
+
+    x > v t: the initial state; x <= v t: the boundary signal emitted at
+    t - x / v; either decayed by the integral of k over the stretch
+    [x - v travel, x] the characteristic crossed, divided by v.
     """
     kf = cfg.k_field
     if kf is None:
@@ -140,12 +153,10 @@ def analytic_state(x, t, cfg: PhysicsConfig, dx: float | None = None):
     t = np.asarray(t, dtype=float)
     if dx is None:
         dx = 1.0 / len(kf.node_values)
-    from_ic = x > t
-    decay_ic = _k_line_integral(kf, dx, np.maximum(x - t, 0.0), x)
-    decay_bc = _k_line_integral(kf, dx, 0.0, x)
-    u_ic = cfg.u0 * np.exp(-decay_ic)
-    u_bc = forcing(np.maximum(t - x, 0.0), cfg) * np.exp(-decay_bc)
-    out = np.where(from_ic, u_ic, u_bc)
+    from_ic, travel, emitted = characteristic_origin(x, t, cfg.v)
+    decay = _k_line_integral(kf, dx, x - cfg.v * travel, x) / cfg.v
+    src = np.where(from_ic, cfg.u0, forcing(np.maximum(emitted, 0.0), cfg))
+    out = src * np.exp(-decay)
     return float(out) if out.ndim == 0 else out
 
 

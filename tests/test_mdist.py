@@ -146,6 +146,21 @@ class TestClosureCoefficients:
             assert np.array_equal(co.q2, exact.q2)
             assert np.all(co.d22 == 0.0)
 
+    def test_zero_time_is_exact_closure(self):
+        # t* = 0 at t = 0, so every correction vanishes, the white-noise and
+        # nugget steps included
+        U = np.linspace(0.0, 1.0, 65)
+        exact = closure_coefficients(ClosureSpec("exact_deterministic_k"), PHI, 0.4, 0.0, U)
+        specs = [ClosureSpec(family, sign_convention=sign)
+                 for family in ("random_constant_k", "white_noise_k", "exponential_k")
+                 for sign in ("appendix", "main_text")]
+        specs.append(ClosureSpec("general_quadrature", nugget=0.04,
+                                 cov_fn=lambda s: 0.04 * np.exp(-s / 0.3)))
+        for spec in specs:
+            co = closure_coefficients(spec, PHI, 0.4, 0.0, U)
+            assert np.array_equal(co.q2, exact.q2), spec
+            assert np.all(co.d22 == 0.0), spec
+
     def test_diffusion_nonnegative(self):
         U = np.linspace(0.0, 1.0, 65)
         for family in ("random_constant_k", "white_noise_k", "exponential_k"):
@@ -262,6 +277,18 @@ class TestCharacteristics:
         median = u[np.searchsorted(c.f_values, 0.5)]
         assert median == pytest.approx(expect, abs=u[1] - u[0])
 
+    def test_speed_two_matches_grid_solve(self):
+        # at v = 2 the characteristic through (x, t) starts on the initial
+        # line when x > 2 t and at the inflow, at t - x / 2, otherwise
+        cfg = PhysicsConfig(v=2.0)
+        grid = Grid2D(0.0, 1.0, 100, 0.0, 1.0, 128, 0.005, 0.45)  # v dt / dx = 1
+        sol = solve_cdf_fv(ClosureSpec("exact_deterministic_k"), PHI, cfg, grid,
+                           deterministic_inputs=False, store="last")
+        for x in (0.95, 0.5):  # x > v t, and t < x <= v t
+            ref = solve_cdf_characteristics(1.0, PHI, cfg, x, 0.45, grid.u_nodes)
+            gap = np.max(np.abs(sol.slice_at(x, 0.45).f_values - ref.f_values))
+            assert gap <= 2.0 * (grid.dx + grid.du), (x, gap)
+
 
 SHIFT_GRIDS = [
     Grid2D(0.0, 1.0, 100, 0.0, 1.0, 128, 0.005, 0.3),   # v dt / dx = 0.5
@@ -343,6 +370,17 @@ class TestSolveCdfFv:
             ref = solve_cdf_characteristics(1.0, PHI, PhysicsConfig(), x, t,
                                             grid.u_nodes)
             assert np.max(np.abs(sol.slice_at(x, t).f_values - ref.f_values)) <= tol
+
+    def test_shifted_domain_gives_same_slices(self):
+        # with a constant rate the model is invariant under a shift of x; the
+        # memory horizon counts from the inflow at x_min, not from x = 0
+        phi = StatParams(k_mean=2.0, k_std=0.3)
+        shifted = Grid2D(0.5, 1.5, 100, 0.0, 1.0, 128, 0.01, 0.3)
+        a = solve_cdf_fv(ClosureSpec("random_constant_k"), phi, PhysicsConfig(),
+                         self.GRID, store="last")
+        b = solve_cdf_fv(ClosureSpec("random_constant_k"), phi, PhysicsConfig(),
+                         shifted, store="last")
+        assert np.max(np.abs(a.snapshots - b.snapshots)) < 1e-12
 
     def test_store_last_matches_store_all(self):
         a = solve_cdf_fv(ClosureSpec("exact_deterministic_k"), PHI,

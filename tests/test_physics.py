@@ -55,6 +55,19 @@ class TestAnalyticState:
         exact = analytic_state(xc, 0.45, cfg, dx=GRID.dx)
         assert np.max(np.abs(u - exact)) < 1e-3 * 4  # first-order at dx=2.5e-4
 
+    def test_speed_two_matches_fv(self):
+        # at v = 2 the inflow has reached x = 2 t = 0.6; x = 0.505 carries
+        # the boundary signal emitted at t - x / 2, decayed over x / 2
+        kf = sample_k_field("white", 1.0, 0.2, None, GRID, seed=3)
+        cfg = PhysicsConfig(v=2.0, k_field=kf)
+        n_fine = 4000
+        dx = 1.0 / n_fine
+        u = solve_physical_fv(np.repeat(kf.node_values, n_fine // 200), cfg, dx, 0.3,
+                              cfl=0.5)
+        xc = (np.arange(n_fine) + 0.5) * dx
+        exact = analytic_state(xc, 0.3, cfg, dx=GRID.dx)
+        assert np.max(np.abs(u - exact)) < 4e-3
+
     def test_pde_residual(self):
         cfg = PhysicsConfig(k_field=KField.constant(1.3, 200))
         h = 1e-5
