@@ -3,7 +3,7 @@ advection-reaction model with uncertain inputs or reaction rate."""
 
 from .core import (ContractError, DegenerateInputError, DiscreteCdf, DiscretePdf,
                    GaussianDist, Grid2D, cdf_from_pdf, cramer_distance,
-                   empirical_cdf, kde_gaussian, kl_divergence, pdf_from_cdf)
+                   empirical_cdf, kl_divergence, pdf_from_cdf)
 from .mdist import (CdfSolution, ClosureCoeffs, ClosureSpec, StatParams,
                     closure_coefficients, initial_boundary_cdfs,
                     solve_cdf_characteristics, solve_cdf_fv, t_star)

@@ -178,11 +178,11 @@ def forecast_slice(phi: StatParams, spec: ClosureSpec, cfg: PhysicsConfig,
     The grid solve advances only the backward characteristic cone of that
     node: its x-shift reads at most two upstream nodes per step and all else
     acts on one x-node at a time, so no other row can reach the slice (see
-    `damd.mdist`). The exact closure is evaluated by characteristics.
+    `damd.mdist`). The exact closure is evaluated by characteristics from x_min.
     """
     deterministic_inputs = resolve_deterministic_inputs(spec, deterministic_inputs)
     if spec.family == "exact_deterministic_k":
-        return solve_cdf_characteristics(phi.get("k_mean"), phi, cfg, x, t,
+        return solve_cdf_characteristics(phi.get("k_mean"), phi, cfg, x - grid.x_min, t,
                                          grid.u_nodes,
                                          deterministic_inputs=deterministic_inputs)
     return _advance(spec, phi, cfg, grid, t, deterministic_inputs, "last",

@@ -181,24 +181,6 @@ def cdf_from_pdf(p: DiscretePdf) -> DiscreteCdf:
     return DiscreteCdf(p.u_nodes, f)
 
 
-def kde_gaussian(samples, u_nodes) -> DiscretePdf:
-    """Gaussian-kernel density estimate with Scott's 1d bandwidth
-    h = std(samples) * n**(-1/5), evaluated on u_nodes and renormalized."""
-    s = np.asarray(samples, dtype=float)
-    if s.size < 2 or np.unique(s).size < 2:
-        raise DegenerateInputError("need at least two distinct samples")
-    h = float(np.std(s, ddof=1)) * s.size ** (-0.2)
-    if h <= 0:
-        raise DegenerateInputError("zero bandwidth")
-    u = np.asarray(u_nodes, dtype=float)
-    z = (u[:, None] - s[None, :]) / h
-    dens = np.exp(-0.5 * z * z).sum(axis=1) / (s.size * h * np.sqrt(2.0 * np.pi))
-    mass = np.trapezoid(dens, u)
-    if mass <= 0:
-        raise DegenerateInputError("all mass falls outside the node range")
-    return DiscretePdf(u, dens / mass)
-
-
 def empirical_cdf(samples, u_nodes) -> DiscreteCdf:
     """Fraction of samples <= U at each node.  u_nodes must span the sample
     range so that the endpoint values are 0 and 1."""

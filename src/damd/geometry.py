@@ -102,8 +102,8 @@ def kl_gain_profile(spec: ClosureSpec, phi_prior: StatParams,
         """The forecast U-slice at (x, t) under phi, as a function of x; a
         grid solve keeps one U-row per x-node rather than a list of slices."""
         if spec.family == "exact_deterministic_k":
-            return lambda x: solve_cdf_characteristics(phi.get("k_mean"), phi, cfg, x, t,
-                                                       grid.u_nodes, deterministic_inputs)
+            return lambda x: solve_cdf_characteristics(phi.get("k_mean"), phi, cfg, x - grid.x_min,
+                                                       t, grid.u_nodes, deterministic_inputs)
         sol = solve_cdf_fv(spec, phi, cfg, grid, t_end=t,
                            deterministic_inputs=deterministic_inputs, store="last")
         return lambda x: sol.slice_at(x, t)

@@ -21,7 +21,12 @@ the U-slice at one node after n steps depends only on its backward
 characteristic cone, rows i - (floor(c) + [c fractional]) m .. i - floor(c) m
 at m steps before the end (clipped at x_min). A forecast of one slice
 advances just those rows, with the same arithmetic on each row as the
-full-field solve, so its result is bit-identical to it."""
+full-field solve, so its result is bit-identical to it.
+
+Both run `_advance` in blocks of steps, each at most n_x + 1 rows in all: a
+coefficient pass evaluates all that does not depend on F for every (step,
+row) pair of a block at once, and a transport loop then does per step only
+the x-shift, two gathers, one `dgtsv` call and the checks."""
 
 from __future__ import annotations
 
@@ -61,6 +66,10 @@ class StatParams:
     sigmab: float | None = None
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):  # k_std ** 2 is the rate variance
+            v = getattr(self, f.name)
+            if v is not None and not np.isfinite(float(v) * v if f.name == "k_std" else v):
+                raise ContractError(f"{f.name} must be finite (k_std: its square too), got {v}")
         if self.k_std is not None and self.k_std < 0:
             raise ContractError("k_std must be nonnegative")
         if self.k_corr_len is not None and not self.k_corr_len > 0:
@@ -135,7 +144,7 @@ def _closure_evaluator(spec: ClosureSpec, phi: StatParams, base):
     """corr(t, rows) = I(min(t, base[rows])), the variance correction I(t*)
     that enters both the drift and the diffusion, for t* = min(t, base) with
     base the t-independent part of the memory horizon, t_star(U, x/v, inf).
-    rows indexes base: a slice of x-rows, or ... for all of it.
+    rows indexes base: x-rows as a slice or an array (t a column), or ....
 
     The only place where the closure families differ. For the closed forms
     exp(alpha t*) = min/max(exp(alpha base), exp(alpha t)) by monotonicity,
@@ -293,44 +302,20 @@ class CdfSolution:
                 fh.write((prefix + prefix.join(tails)) % tuple(snap.ravel().tolist()))
 
 
-def _thomas(sub, diag, sup, rhs):
-    """Solve independent tridiagonal systems along the last axis; the four
-    arrays share one shape, and sub[..., 0] and sup[..., -1] are ignored.
-
-    The systems are concatenated into one large tridiagonal matrix with the
-    off-diagonal entries at block boundaries zeroed, so a single LAPACK
-    `dgtsv` call (Gaussian elimination with partial pivoting) solves the whole
-    batch. Raises `np.linalg.LinAlgError` on an exactly zero pivot.
-    """
+def _gtsv(dl, d, du, b):
+    """Solve a tridiagonal system by LAPACK `dgtsv` (Gaussian elimination with
+    partial pivoting) in the contiguous float vectors dl, d, du and b, which
+    gets the solution and is returned. Raises `np.linalg.LinAlgError` on an
+    exactly zero pivot."""
     from scipy.linalg.lapack import dgtsv
 
-    shape = rhs.shape
-    n = shape[-1]
-    sub, diag, sup, rhs = (np.ascontiguousarray(a, dtype=float).reshape(-1)
-                           for a in (sub, diag, sup, rhs))
-    dl, du = sub[1:].copy(), sup[:-1].copy()
-    dl[n - 1::n] = du[n - 1::n] = 0.0  # no coupling between neighbouring blocks
-    *_, x, info = dgtsv(dl, diag, du, rhs, overwrite_dl=1, overwrite_du=1)
+    *_, x, info = dgtsv(dl, d, du, b, overwrite_dl=1, overwrite_d=1,
+                        overwrite_du=1, overwrite_b=1)
     if info > 0:
         raise np.linalg.LinAlgError(f"singular tridiagonal system: zero pivot {info}")
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of dgtsv")
-    return x.reshape(shape)
-
-
-def _lerp_rows(F, pos):
-    """Read row i of F at the fractional node positions pos[i] by linear
-    interpolation between the two nodes around each position; positions
-    outside the row read its end nodes."""
-    n = F.shape[1] - 1
-    pos = np.clip(pos, 0.0, n)
-    j = np.minimum(pos.astype(np.intp), n - 1)
-    w = pos - j
-    j += np.arange(0, F.size, n + 1)[:, None]  # flat index of each row start
-    flat = F.reshape(-1)
-    lo = flat[j]
-    j += 1
-    return lo + w * (flat[j] - lo)
+    return x
 
 
 def solve_cdf_fv(spec: ClosureSpec, phi: StatParams, cfg: PhysicsConfig,
@@ -381,19 +366,22 @@ def _advance(spec: ClosureSpec, phi: StatParams, cfg: PhysicsConfig,
     earlier, so row ix at t_end equals the full-field solve's; rows outside
     the cone keep stale values and only slice_at(cone_x, t_end) is valid.
     Every row that is computed gets the same checks as in the full field.
+
+    The steps run in blocks, each the longest run that advances at most n_x + 1
+    rows in all: a coefficient pass evaluates what does not depend on F for all
+    (step, row) pairs of a block, then a transport loop advances its steps.
     """
     n_steps = max(1, int(round(t_end / grid.dt)))
     dt = t_end / n_steps
     xs, us = grid.x_nodes, grid.u_nodes
-    du = grid.du
+    du, width = grid.du, us.size
 
     f0, fb = initial_boundary_cdfs(phi, resolve_deterministic_inputs(spec, deterministic_inputs),
                                    cfg, grid.u_min, grid.u_max)
 
     def inflow(t, u=us):
-        """Inflow CDF at the times t (a column) and states u, endpoints
-        pinned."""
-        rows = np.broadcast_to(fb(u, t), (np.size(t), us.size)).copy()
+        """Inflow CDF at the times t (a column) and states u, ends pinned."""
+        rows = np.broadcast_to(fb(u, t), (np.size(t), width)).copy()
         rows[:, 0], rows[:, -1] = 0.0, 1.0
         return rows
 
@@ -412,18 +400,16 @@ def _advance(spec: ClosureSpec, phi: StatParams, cfg: PhysicsConfig,
     n_in = min(reach, grid.n_x + 1)  # nodes fed by the inflow
     lag = ((xs[:n_in] - grid.x_min) / cfg.v)[:, None]
 
-    # rows [lo, hi) that step advances; none above top
+    # rows [lo, hi) that each step advances; none above top
     if cone_x is None:
         top = grid.n_x
-
-        def window(step):
-            return 0, grid.n_x + 1
+        lo, hi = [0] * n_steps, [grid.n_x + 1] * n_steps
     else:
         top = _nearest_node(xs, cone_x)
-
-        def window(step):
-            left = n_steps - 1 - step  # steps after this one
-            return max(top - reach * left, 0), max(top + 1 - shift * left, 0)
+        left = np.arange(n_steps - 1, -1, -1)  # steps after each one
+        lo = np.maximum(top - reach * left, 0).tolist()
+        hi = np.maximum(top + 1 - shift * left, 0).tolist()
+    counts = [h - l for l, h in zip(lo, hi)]
 
     snaps = [F.copy()] if store == "all" else None
     warnings: list = []
@@ -431,65 +417,96 @@ def _advance(spec: ClosureSpec, phi: StatParams, cfg: PhysicsConfig,
     travel = (xs[:top + 1, None] - grid.x_min) / cfg.v  # from the inflow at x_min
     corr_at = _closure_evaluator(spec, phi, t_star(U, travel, np.inf, phi.get("k_mean"),
                                                    grid.u_max))
-    exact = spec.family == "exact_deterministic_k"
-    if exact:  # r = -<k> at every t, and no diffusion
-        r_all, _ = _drift_diffusion(spec, phi, corr_at(0.0, ...), U)
-        pos_all = (U * np.exp(-r_all * dt) - grid.u_min) / du
+    exact = spec.family == "exact_deterministic_k"  # no diffusion
 
-    for step in range(n_steps):
-        t_new = (step + 1) * dt
-        lo, hi = window(step)
-        if lo < hi:
-            if exact:
-                r, drift_pos = r_all[lo:hi], pos_all[lo:hi]
-            else:
-                r, d22 = _drift_diffusion(spec, phi, corr_at(t_new, slice(lo, hi)), U)
-                drift_pos = (U * np.exp(-r * dt) - grid.u_min) / du
-            G = np.empty((hi - lo, us.size))
-            # rows below n_in: their characteristics crossed x_min only lag
-            # ago, so they have drifted for lag rather than dt; the drift step
-            # below adds dt. Row 0 is the inflow slice itself, prescribed
-            # rather than evolved.
-            hi_in = min(hi, n_in)
-            if lo < hi_in:
-                scale = np.exp(r[:hi_in - lo] * (dt - lag[lo:hi_in]))
-                if lo == 0:
-                    scale[0] = 1.0
-                G[:hi_in - lo] = inflow(t_new - lag[lo:hi_in], us * scale)
-            lo_out = max(lo, n_in)  # rows fed by interior departure points
-            if lo_out < hi:
-                src = F[lo_out - shift:hi - shift]
-                if theta == 0.0:
-                    G[lo_out - lo:] = src
+    s0 = 0
+    while s0 < n_steps:  # the last step of a block advances row top, so size > 0
+        s1, size = s0, 0
+        while s1 < n_steps and size + counts[s1] <= grid.n_x + 1:
+            size += counts[s1]
+            s1 += 1
+        t_new = [(s + 1) * dt for s in range(s0, s1)]
+
+        # coefficient pass over the (step, row) pairs of the block
+        if s1 == s0 + 1:  # one step: its rows as a slice
+            rows, t_col, local = slice(lo[s0], hi[s0]), t_new[0], np.arange(size)
+        else:
+            n = counts[s0:s1]
+            local = np.arange(size) - np.repeat(np.cumsum(n) - n, n)
+            rows, t_col = np.repeat(lo[s0:s1], n) + local, np.repeat(t_new, n)[:, None]
+        r, d22 = _drift_diffusion(spec, phi, corr_at(t_col, rows), U)
+        # drift departure points, read between nodes j and j + 1 (the ends
+        # outside [U_min, U_max]) of the step's source rows, flattened
+        pos = np.clip((U * np.exp(-r * dt) - grid.u_min) / du, 0.0, grid.n_u)
+        j = np.minimum(pos.astype(np.intp), grid.n_u - 1)
+        w = np.subtract(pos, j, out=pos)
+        j += local[:, None] * width
+        if not exact:
+            sup = np.zeros_like(d22)  # -dt d22_{j+1/2} / du^2, zero at U_max
+            sup[:, :-1] = (-0.5 * dt / du ** 2) * (d22[:, :-1] + d22[:, 1:])
+            sub = np.empty_like(sup)
+            sub[:, 0] = 0.0
+            sub[:, 1:] = sup[:, :-1]
+            diag = 1.0 - sub
+            diag -= sup
+            # Dirichlet rows in U, which also uncouple the rows in the flat bands
+            sup[:, 0] = sub[:, -1] = sup[:, -1] = 0.0
+            diag[:, 0] = diag[:, -1] = 1.0
+            dl, d, dh = sub.reshape(-1)[1:], diag.reshape(-1), sup.reshape(-1)[:-1]
+        out = np.empty((size, width))
+
+        # transport loop
+        a = 0
+        for s, t in zip(range(s0, s1), t_new):
+            l, h, b = lo[s], hi[s], a + counts[s]
+            if l < h:
+                if l >= n_in and theta == 0.0:  # the step reads rows of F as they are
+                    flat = F.reshape(-1)[(l - shift) * width:]
                 else:
-                    G[lo_out - lo:] = ((1.0 - theta) * src
-                                       + theta * F[lo_out - shift - 1:hi - shift - 1])
-
-            Fs = _lerp_rows(G, drift_pos)
-            if not exact:
-                lam = np.zeros_like(d22)  # dt d22_{j+1/2} / du^2, zero at U_max
-                lam[:, :-1] = (0.5 * dt / du ** 2) * (d22[:, :-1] + d22[:, 1:])
-                sup = -lam
-                sub = np.empty_like(lam)
-                sub[:, 0] = 0.0
-                sub[:, 1:] = sup[:, :-1]
-                diag = 1.0 - sub - sup
-                # Dirichlet rows in U
-                sup[:, 0] = sub[:, -1] = sup[:, -1] = 0.0
-                diag[:, 0] = diag[:, -1] = 1.0
+                    G = np.empty((h - l, width))
+                    # rows below n_in: their characteristics crossed x_min only lag
+                    # ago, so they have drifted for lag rather than dt; the drift
+                    # step adds dt. Row 0 is the inflow itself, not evolved.
+                    h_in = min(h, n_in)
+                    if l < h_in:
+                        scale = np.exp(r[a:a + h_in - l] * (dt - lag[l:h_in]))
+                        if l == 0:
+                            scale[0] = 1.0
+                        G[:h_in - l] = inflow(t - lag[l:h_in], us * scale)
+                    l_out = max(l, n_in)  # rows fed by interior departure points
+                    if l_out < h:
+                        src = F[l_out - shift:h - shift]
+                        if theta == 0.0:
+                            G[l_out - l:] = src
+                        else:
+                            G[l_out - l:] = ((1.0 - theta) * src
+                                             + theta * F[l_out - shift - 1:h - shift - 1])
+                    flat = G.reshape(-1)
+                f_lo, f_hi = flat[j[a:b]], flat[1:][j[a:b]]
+                np.subtract(f_hi, f_lo, out=f_hi)
+                np.multiply(w[a:b], f_hi, out=f_hi)
+                Fs = np.add(f_lo, f_hi, out=out[a:b])
+                if not exact:
+                    Fs[:, 0], Fs[:, -1] = 0.0, 1.0
+                    _gtsv(dl[a * width:b * width - 1], d[a * width:b * width],
+                          dh[a * width:b * width - 1], Fs.reshape(-1))
                 Fs[:, 0], Fs[:, -1] = 0.0, 1.0
-                Fs = _thomas(sub, diag, sup, Fs)
-            Fs[:, 0], Fs[:, -1] = 0.0, 1.0
-            if not np.all(np.isfinite(Fs)):
-                raise ArithmeticError(f"non-finite CDF values at t = {t_new:g}")
-            if lo == 0:
-                Fs[0] = G[0]
-            min_diff = float(np.min(np.diff(Fs, axis=1)))
-            if min_diff < -MONOTONE_WARN_TOL:
-                warnings.append(f"monotonicity violation {min_diff:.3e} at t = {t_new:.6g}")
-            F[lo:hi] = Fs
-        if store == "all":
-            snaps.append(F.copy())
+                if not np.all(np.isfinite(Fs)):
+                    raise ArithmeticError(f"non-finite CDF values at t = {t:g}")
+                if l == 0:
+                    Fs[0] = G[0]
+                F[l:h] = Fs
+            if store == "all":
+                snaps.append(F.copy())
+            a = b
+
+        diffs = np.diff(out, axis=1)
+        if diffs.min() < -MONOTONE_WARN_TOL:  # find the steps, in order
+            ends = np.cumsum(counts[s0:s1])
+            for t, a, b in zip(t_new, ends - counts[s0:s1], ends):
+                if (m := float(diffs[a:b].min(initial=np.inf))) < -MONOTONE_WARN_TOL:
+                    warnings.append(f"monotonicity violation {m:.3e} at t = {t:.6g}")
+        s0 = s1
 
     times = np.arange(n_steps + 1) * dt
     if store == "all":
@@ -500,7 +517,8 @@ def _advance(spec: ClosureSpec, phi: StatParams, cfg: PhysicsConfig,
 def solve_cdf_characteristics(k: float, phi: StatParams, cfg: PhysicsConfig,
                               x: float, t: float, u_nodes,
                               deterministic_inputs: bool = False) -> DiscreteCdf:
-    """Exact solution of the deterministic-rate CDF equation at one (x, t).
+    """Exact solution of the deterministic-rate CDF equation at one (x, t),
+    with x the distance from the inflow boundary.
 
     x > v t pulls the initial CDF back along the characteristic, x <= v t the
     inflow CDF emitted at t - x / v; either way the state argument is

@@ -3,10 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import ndtr
 
-from damd import (ContractError, DegenerateInputError, DiscreteCdf, DiscretePdf,
+from damd import (ContractError, DiscreteCdf, DiscretePdf,
                   Grid2D, cdf_from_pdf, cramer_distance, empirical_cdf,
-                  kde_gaussian, kl_divergence, pdf_from_cdf)
-from damd.physics import make_rng
+                  kl_divergence, pdf_from_cdf)
 
 
 def step_cdf(u, loc):
@@ -155,30 +154,6 @@ class TestCdfFromPdf:
         back = cdf_from_pdf(pdf_from_cdf(c))
         du = U[1] - U[0]
         assert np.max(np.abs(back.f_values - c.f_values)) <= 2.0 * du
-
-
-class TestKde:
-    def test_identical_samples_degenerate(self):
-        with pytest.raises(DegenerateInputError):
-            kde_gaussian(np.full(50, 0.5), U)
-
-    def test_standard_normal_oracle(self):
-        rng = make_rng(11, 0)
-        s = rng.standard_normal(10_000)
-        u = np.linspace(-5, 5, 1001)
-        est = kde_gaussian(s, u)
-        exact = DiscretePdf(u, np.exp(-0.5 * u ** 2) / np.sqrt(2 * np.pi))
-        assert kl_divergence(exact, est) <= 0.01
-
-    def test_scott_bandwidth_value(self):
-        # two-point sample: mixture of two kernels with h = std * n^(-1/5)
-        s = np.array([0.3, 0.7])
-        u = np.linspace(-2, 3, 2001)
-        est = kde_gaussian(s, u)
-        h = np.std(s, ddof=1) * 2 ** (-0.2)
-        exact = 0.5 * (np.exp(-0.5 * ((u - 0.3) / h) ** 2)
-                       + np.exp(-0.5 * ((u - 0.7) / h) ** 2)) / (h * np.sqrt(2 * np.pi))
-        assert np.max(np.abs(est.densities - exact)) < 1e-6
 
 
 class TestEmpiricalCdf:

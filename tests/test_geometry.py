@@ -119,3 +119,15 @@ class TestKlGainProfile:
                                   0.3, g, PhysicsConfig())
         assert np.all(np.isfinite(dkl))
         assert np.all(dkl >= -1e-9)
+
+    def test_exact_closure_measured_from_x_min(self):
+        # a constant rate makes the model invariant under a shift of x, so a
+        # grid over [0.5, 1.5] gives the profile of one over [0, 1]; t is not
+        # a node, so no node sits on the characteristic x - x_min = t
+        prior = StatParams(k_mean=1.0, mu0=0.4, sigma0=0.1, mub=0.5, sigmab=0.1)
+        post = prior.replace(sigma0=0.05)
+        shifted = Grid2D(0.5, 1.5, 100, 0.0, 1.0, 256, 0.01, 0.6)
+        spec = ClosureSpec("exact_deterministic_k")
+        _, ref = kl_gain_profile(spec, prior, post, 0.555, self.GRID, PhysicsConfig())
+        _, got = kl_gain_profile(spec, prior, post, 0.555, shifted, PhysicsConfig())
+        assert np.max(np.abs(got - ref)) < 1e-9

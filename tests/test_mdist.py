@@ -10,7 +10,7 @@ from damd import (ClosureSpec, ContractError, Grid2D, PhysicsConfig, StatParams,
                   closure_coefficients, cramer_distance, forecast_slice,
                   initial_boundary_cdfs, solve_cdf_characteristics, solve_cdf_fv,
                   t_star)
-from damd.mdist import _thomas, closure_correction
+from damd.mdist import _gtsv, closure_correction
 from damd.core import empirical_cdf
 from damd.physics import forcing, make_rng
 from scipy.special import ndtri
@@ -25,6 +25,21 @@ class TestStatParams:
             StatParams(k_mean=1.0, k_std=-0.1)
         with pytest.raises(ContractError):
             StatParams(mu0=0.4, sigma0=0.0)
+
+    @pytest.mark.parametrize("bad", [{"k_std": np.inf}, {"k_std": np.nan},
+                                     {"k_mean": -np.inf}, {"k_corr_len": np.inf},
+                                     {"mu0": np.nan}, {"sigmab": np.inf}],
+                             ids=["k_std-inf", "k_std-nan", "k_mean-inf", "k_corr_len-inf",
+                                  "mu0-nan", "sigmab-inf"])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ContractError):
+            PHI.replace(**bad)
+
+    def test_rejects_overflowing_variance(self):
+        # k_std ** 2 is the rate variance of every closure
+        with pytest.raises(ContractError):
+            StatParams(k_mean=1.0, k_std=1e200)
+        assert StatParams(k_mean=1.0, k_std=1e100).k_std == 1e100
 
     def test_replace_and_get(self):
         phi = PHI.replace(k_mean=2.0)
@@ -194,6 +209,17 @@ class TestInitialBoundaryCdfs:
         assert f0(1.0) == pytest.approx(1.0, abs=1e-12)
 
 
+def _thomas(sub, diag, sup, rhs):
+    """Independent tridiagonal systems along the last axis, sub[..., 0] and
+    sup[..., -1] ignored, solved by one `_gtsv` call on a copy of rhs."""
+    n = diag.shape[-1]
+    dl, du = sub.reshape(-1)[1:].copy(), sup.reshape(-1)[:-1].copy()
+    dl[n - 1::n] = du[n - 1::n] = 0.0  # no coupling between neighbouring systems
+    x = np.array(rhs, dtype=float)
+    _gtsv(dl, diag.reshape(-1).copy(), du, x.reshape(-1))
+    return x
+
+
 class TestThomas:
     def test_matches_dense_solver(self):
         rng = make_rng(21, 0)
@@ -231,6 +257,12 @@ class TestThomas:
         ones = np.ones((2, 2))  # [[1, 1], [1, 1]] twice: the second pivot is 0
         with pytest.raises(np.linalg.LinAlgError):
             _thomas(ones, ones, ones, ones)
+
+    def test_solves_in_place(self):
+        # the transport loop leaves each step's rows where `_gtsv` wrote them
+        out = np.ones((3, 8))
+        x = _gtsv(np.full(7, -0.1), np.full(8, 1.5), np.full(7, -0.1), out[1])
+        assert np.shares_memory(x, out) and np.array_equal(out[1], x)
 
 
 class TestCharacteristics:
@@ -481,3 +513,146 @@ class TestForecastCone:
                 cone = forecast_slice(PHI, spec, PhysicsConfig(), grid, x, t)
                 assert np.array_equal(cone.f_values, full[t].slice_at(x, t).f_values), \
                     (spec, x, t)
+
+    def test_exact_closure_measured_from_x_min(self):
+        # the exact closure is evaluated by characteristics; on a grid over
+        # [0.5, 1.5] they start at the inflow at x = 0.5, as in the grid solve
+        grid = Grid2D(0.5, 1.5, 100, 0.0, 1.0, 128, 0.01, 0.3)
+        spec = ClosureSpec("exact_deterministic_k")
+        full = solve_cdf_fv(spec, PHI, PhysicsConfig(), grid, store="last")
+        for x in (0.6, 0.7):
+            got = forecast_slice(PHI, spec, PhysicsConfig(), grid, x, 0.3).f_values
+            gap = np.max(np.abs(got - full.slice_at(x, 0.3).f_values))
+            assert gap <= 2.0 * (grid.dx + grid.du), (x, gap)
+
+
+def _reference_solve(spec, phi, cfg, grid, deterministic_inputs):
+    """The grid solve as a plain loop over steps, each step assembling its
+    own closure, interpolation and tridiagonal system on all rows:
+    (snapshots, warnings) as `solve_cdf_fv(..., store="all")` returns them."""
+    from scipy.linalg.lapack import dgtsv
+
+    from damd.mdist import (MONOTONE_WARN_TOL, _closure_evaluator, _drift_diffusion,
+                            resolve_deterministic_inputs)
+
+    n_steps = max(1, int(round(grid.t_end / grid.dt)))
+    dt = grid.t_end / n_steps
+    xs, us, du, n = grid.x_nodes, grid.u_nodes, grid.du, grid.n_u
+    f0, fb = initial_boundary_cdfs(phi, resolve_deterministic_inputs(spec, deterministic_inputs),
+                                   cfg, grid.u_min, grid.u_max)
+
+    def inflow(t, u=us):
+        rows = np.broadcast_to(fb(u, t), (np.size(t), us.size)).copy()
+        rows[:, 0], rows[:, -1] = 0.0, 1.0
+        return rows
+
+    def lerp_rows(G, pos):
+        pos = np.clip(pos, 0.0, n)
+        j = np.minimum(pos.astype(np.intp), n - 1)
+        w = pos - j
+        lo = np.take_along_axis(G, j, axis=1)
+        return lo + w * (np.take_along_axis(G, j + 1, axis=1) - lo)
+
+    def solve_rows(sub, diag, sup, rhs):
+        out = np.empty_like(rhs)
+        for i in range(rhs.shape[0]):
+            *_, out[i], info = dgtsv(sub[i, 1:], diag[i], sup[i, :-1], rhs[i])
+            assert info == 0
+        return out
+
+    F = np.tile(f0(us), (grid.n_x + 1, 1))
+    F[:, 0], F[:, -1] = 0.0, 1.0
+    F[0] = inflow(0.0)[0]
+    c = cfg.v * dt / grid.dx
+    if abs(c - round(c)) <= 1e-9 * max(1.0, c):
+        c = float(round(c))
+    shift = int(np.floor(c))
+    theta = c - shift
+    n_in = min(shift + (theta > 0.0), grid.n_x + 1)
+    lag = ((xs[:n_in] - grid.x_min) / cfg.v)[:, None]
+    U = us[None, :]
+    travel = (xs[:, None] - grid.x_min) / cfg.v
+    corr_at = _closure_evaluator(spec, phi, t_star(U, travel, np.inf, phi.get("k_mean"),
+                                                   grid.u_max))
+    snaps, warns = [F.copy()], []
+    for step in range(n_steps):
+        t_new = (step + 1) * dt
+        r, d22 = _drift_diffusion(spec, phi, corr_at(t_new, ...), U)
+        G = np.empty_like(F)
+        scale = np.exp(r[:n_in] * (dt - lag))
+        scale[0] = 1.0
+        G[:n_in] = inflow(t_new - lag, us * scale)
+        src = F[n_in - shift:F.shape[0] - shift]
+        if theta == 0.0:
+            G[n_in:] = src
+        else:
+            G[n_in:] = (1.0 - theta) * src + theta * F[n_in - shift - 1:F.shape[0] - shift - 1]
+        Fs = lerp_rows(G, (U * np.exp(-r * dt) - grid.u_min) / du)
+        if spec.family != "exact_deterministic_k":
+            lam = np.zeros_like(d22)
+            lam[:, :-1] = (0.5 * dt / du ** 2) * (d22[:, :-1] + d22[:, 1:])
+            sup = -lam
+            sub = np.empty_like(lam)
+            sub[:, 0] = 0.0
+            sub[:, 1:] = sup[:, :-1]
+            diag = 1.0 - sub - sup
+            sup[:, 0] = sub[:, -1] = sup[:, -1] = 0.0
+            diag[:, 0] = diag[:, -1] = 1.0
+            Fs[:, 0], Fs[:, -1] = 0.0, 1.0
+            Fs = solve_rows(sub, diag, sup, Fs)
+        Fs[:, 0], Fs[:, -1] = 0.0, 1.0
+        assert np.all(np.isfinite(Fs))
+        Fs[0] = G[0]
+        min_diff = float(np.min(np.diff(Fs, axis=1)))
+        if min_diff < -MONOTONE_WARN_TOL:
+            warns.append(f"monotonicity violation {min_diff:.3e} at t = {t_new:.6g}")
+        F = Fs
+        snaps.append(F.copy())
+    return np.stack(snaps), warns
+
+
+class TestTransportOracle:
+    """The block passes of the grid solve against a step-by-step loop."""
+
+    GRIDS = [
+        Grid2D(0.0, 1.0, 20, 0.0, 1.0, 24, 0.025, 0.6),   # v dt / dx = 0.5
+        Grid2D(0.0, 1.0, 20, 0.0, 1.0, 24, 0.075, 0.6),   # v dt / dx = 1.5
+        Grid2D(0.0, 1.0, 20, 0.0, 1.0, 24, 0.0375, 0.6),  # v dt / dx = 0.75
+        Grid2D(0.0, 1.0, 20, -0.2, 1.0, 30, 0.05, 0.6),   # u_min != 0
+        Grid2D(0.0, 1.0, 20, 0.0, 1.0, 24, 0.1, 0.6),     # v dt / dx = 2
+    ]
+    SPECS = [ClosureSpec(family, sign_convention=sign)
+             for sign in ("appendix", "main_text")
+             for family in ("random_constant_k", "white_noise_k", "exponential_k",
+                            "exact_deterministic_k")]
+    # an oscillating covariance moves the drift departure points out of order,
+    # which the monotonicity check reports on the cfl-1.5 and cfl-2 grids
+    SPECS += [ClosureSpec("general_quadrature", sign_convention=sign,
+                          cov_fn=lambda tau: 20.0 * np.cos(20.0 * tau), quad_points=10)
+              for sign in ("appendix", "main_text")]
+
+    @pytest.mark.parametrize("grid", GRIDS,
+                             ids=["cfl-0.5", "cfl-1.5", "cfl-0.75", "u_min-neg", "cfl-2"])
+    def test_snapshots_and_warnings_equal_step_loop(self, grid):
+        for spec in self.SPECS:
+            for det in (True, False):
+                snaps, warns = _reference_solve(spec, PHI, PhysicsConfig(), grid, det)
+                sol = solve_cdf_fv(spec, PHI, PhysicsConfig(), grid, deterministic_inputs=det)
+                assert np.array_equal(sol.snapshots, snaps), (spec, det)
+                assert sol.warnings == warns, (spec, det)
+                if spec.family == "exact_deterministic_k":
+                    continue  # forecast by characteristics, not on the grid
+                # cones of several blocks of several steps on this coarse grid
+                for x in (0.0, 0.35, 0.8, 1.0):
+                    for t in (grid.t_end, 0.3):
+                        cone = forecast_slice(PHI, spec, PhysicsConfig(), grid, x, t,
+                                              deterministic_inputs=det)
+                        ref = sol.slice_at(x, t).f_values
+                        assert np.array_equal(cone.f_values, ref), (spec, det, x, t)
+
+    def test_monotonicity_warnings_equal_step_loop(self):
+        grid = self.GRIDS[-1]
+        for spec in self.SPECS[-2:]:
+            _, warns = _reference_solve(spec, PHI, PhysicsConfig(), grid, False)
+            sol = solve_cdf_fv(spec, PHI, PhysicsConfig(), grid, deterministic_inputs=False)
+            assert warns and sol.warnings == warns, spec
