@@ -9,8 +9,7 @@ import numpy as np
 
 from .core import (ContractError, DegenerateInputError, DiscreteCdf, DiscretePdf,
                    GaussianDist, Grid2D, cdf_from_pdf, cramer_distance, pdf_from_cdf)
-from .mdist import (ClosureSpec, StatParams, _advance, resolve_deterministic_inputs,
-                    solve_cdf_characteristics)
+from .mdist import ClosureSpec, StatParams, forecast_slice
 from .physics import (MeasurementSet, PhysicsConfig, characteristic_origin,
                       forcing, make_rng, sample_k_field, solve_physical_fv)
 
@@ -62,10 +61,6 @@ class Ensemble:
             raise ContractError("ensemble needs >= 2 members")
         if not np.all(np.isfinite(m)):
             raise ContractError("ensemble entries must be finite")
-
-    @property
-    def n_ens(self) -> int:
-        return self.members.shape[0]
 
 
 def observational_posterior(prior_cdf: DiscreteCdf, d: float, sigma_eps: float):
@@ -166,27 +161,6 @@ def minimize_nelder_mead(objective, phi0: StatParams, opt: OptimizerConfig,
     xbest, fbest, iters, converged = nelder_mead(
         f, x0, opt.tol, opt.max_iters, opt.initial_simplex_scale)
     return _vec_to_phi(phi0, coords, xbest), fbest, iters, converged
-
-
-def forecast_slice(phi: StatParams, spec: ClosureSpec, cfg: PhysicsConfig,
-                   grid: Grid2D, x: float, t: float,
-                   deterministic_inputs: bool | None = None) -> DiscreteCdf:
-    """Forecast with parameters phi the U-slice at the grid node nearest to
-    (x, t), bit-identical to `solve_cdf_fv(..., t_end=t, store="last")`
-    followed by `slice_at(x, t)`.
-
-    The grid solve advances only the backward characteristic cone of that
-    node: its x-shift reads at most two upstream nodes per step and all else
-    acts on one x-node at a time, so no other row can reach the slice (see
-    `damd.mdist`). The exact closure is evaluated by characteristics from x_min.
-    """
-    deterministic_inputs = resolve_deterministic_inputs(spec, deterministic_inputs)
-    if spec.family == "exact_deterministic_k":
-        return solve_cdf_characteristics(phi.get("k_mean"), phi, cfg, x - grid.x_min, t,
-                                         grid.u_nodes,
-                                         deterministic_inputs=deterministic_inputs)
-    return _advance(spec, phi, cfg, grid, t, deterministic_inputs, "last",
-                    cone_x=x).slice_at(x, t)
 
 
 def damd_loss(phi: StatParams, spec: ClosureSpec, cfg: PhysicsConfig,

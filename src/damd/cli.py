@@ -22,9 +22,15 @@ from .geometry import fim_from_density_fn, fisher_information, kl_gain_profile
 from .mdist import ClosureSpec, StatParams, solve_cdf_fv
 from .physics import (KField, PhysicsConfig, characteristic_origin,
                       empirical_semivariogram, forcing, generate_observations,
-                      k_field_to_csv, make_rng, sample_k_field)
+                      k_field_to_csv, make_rng, sample_k_field, two_sensor_schedule)
 
 _PI = np.pi
+
+# --mode -> [closure] family
+FAMILY_BY_MODE = {"inputs": "exact_deterministic_k",
+                  "k_const": "random_constant_k",
+                  "k_white": "white_noise_k",
+                  "k_exp": "exponential_k"}
 
 # section -> key -> (type, default); None default means required when used
 SCHEMA = {
@@ -129,9 +135,8 @@ def _floats(s) -> list:
 
 
 def _locations(cfg) -> list:
-    xs = _floats(cfg["measurements"]["xs"])
-    ts = _floats(cfg["measurements"]["ts"])
-    return [(x, t) for t in ts for x in sorted(xs)]
+    return two_sensor_schedule(_floats(cfg["measurements"]["xs"]),
+                               _floats(cfg["measurements"]["ts"]))
 
 
 def _truth_field(cfg, grid) -> KField:
@@ -186,7 +191,7 @@ def _write_trace(trace, out_dir: Path):
     write_csv(out_dir / "posterior_params.csv", header, rows)
 
 
-def cmd_assimilate(cfg, mode: str, out_dir: Path) -> int:
+def cmd_assimilate(cfg, out_dir: Path) -> int:
     grid = _grid(cfg)
     phys = _physics(cfg)
     truth_kf, phys_truth, meas = _observations(cfg, grid)
@@ -195,15 +200,8 @@ def cmd_assimilate(cfg, mode: str, out_dir: Path) -> int:
     opt = OptimizerConfig(**cfg["optimizer"])
     phi0 = _prior_params(cfg)
 
-    family_by_mode = {"inputs": "exact_deterministic_k",
-                      "k_const": "random_constant_k",
-                      "k_white": "white_noise_k",
-                      "k_exp": "exponential_k"}
-    if mode not in family_by_mode:
-        raise ConfigError(f"unknown assimilation mode {mode!r}")
-    spec = ClosureSpec(family=family_by_mode[mode],
-                       sign_convention=cfg["closure"]["sign_convention"])
-    if mode == "inputs" and phi0.k_mean is None:
+    spec = _closure(cfg)
+    if spec.family == "exact_deterministic_k" and phi0.k_mean is None:
         # the deterministic rate of the exact closure comes from the model
         phi0 = phi0.replace(k_mean=cfg["truth"]["k_mean"])
 
@@ -211,14 +209,14 @@ def cmd_assimilate(cfg, mode: str, out_dir: Path) -> int:
     _write_trace(trace, out_dir)
     phi_post = trace.phi_final or phi0
 
-    if mode == "inputs":
+    if spec.family == "exact_deterministic_k":
         post0, postb = exact_bayes_inputs(
             meas, GaussianDist(phi0.get("mu0"), phi0.get("sigma0")),
             GaussianDist(phi0.get("mub"), phi0.get("sigmab")),
             cfg["truth"]["k_mean"], phys)
         write_csv(out_dir / "bayes_posterior.csv", ["param", "mean", "std"],
                   [["u0", post0.mean, post0.std], ["ub", postb.mean, postb.std]])
-    elif mode == "k_const":
+    elif spec.family == "random_constant_k":
         k_nodes = np.linspace(0.0, 4.0, 2001)
         post = grid_bayes_k(meas, GaussianDist(phi0.get("k_mean"), phi0.get("k_std")),
                             phys, k_nodes)
@@ -235,7 +233,7 @@ def cmd_assimilate(cfg, mode: str, out_dir: Path) -> int:
             for x, k in zip(xs, member):
                 rows.append([i, x, k])
         write_csv(out_dir / "ensemble_posterior.csv", ["member", "x", "k"], rows)
-        if mode == "k_exp":
+        if spec.family == "exponential_k":
             fields = [KField("white", 0.0, 0.0, None, m) for m in ens.members]
             lags, gammas = empirical_semivariogram(fields, grid)
             write_csv(out_dir / "variogram.csv", ["lag", "gamma"],
@@ -325,9 +323,9 @@ def main(argv=None) -> int:
     ap.add_argument("--config", required=True, help="INI experiment file")
     ap.add_argument("--out-dir", default="out", help="artifact directory")
     ap.add_argument("--seed", type=int, default=None, help="override all config seeds")
-    ap.add_argument("--mode", default="k_const",
-                    choices=["inputs", "k_const", "k_white", "k_exp"],
-                    help="assimilation scenario (assimilate command only)")
+    ap.add_argument("--mode", default=None, choices=list(FAMILY_BY_MODE),
+                    help="scenario: overrides [closure] family (verify-mc always "
+                         "runs the random-constant closure)")
     args = ap.parse_args(argv)
 
     try:
@@ -335,13 +333,15 @@ def main(argv=None) -> int:
         if args.seed is not None:
             for section in ("truth", "noise", "enkf", "mc"):
                 cfg[section]["seed"] = args.seed
+        if args.mode is not None:
+            cfg["closure"]["family"] = FAMILY_BY_MODE[args.mode]
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         write_resolved_config(cfg, out_dir)
         if args.command == "forward":
             return cmd_forward(cfg, out_dir)
         if args.command == "assimilate":
-            return cmd_assimilate(cfg, args.mode, out_dir)
+            return cmd_assimilate(cfg, out_dir)
         if args.command == "verify-mc":
             return cmd_verify_mc(cfg, out_dir)
         return cmd_fim(cfg, out_dir)

@@ -8,8 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ContractError, Grid2D, kl_divergence, pdf_from_cdf
-from .mdist import (ClosureSpec, StatParams, resolve_deterministic_inputs,
-                    solve_cdf_characteristics, solve_cdf_fv)
+from .mdist import ClosureSpec, StatParams, forecast_slice, solve_cdf_fv
 from .physics import PhysicsConfig
 
 FIM_DENSITY_FLOOR = 1e-12
@@ -75,8 +74,6 @@ def fisher_information(spec: ClosureSpec, phi: StatParams, x: float, t: float,
                        deterministic_inputs: bool | None = None) -> FimMatrix:
     """Fisher information of the forecast state density at (x, t) with respect
     to the named closure parameters."""
-    from .assimilate import forecast_slice
-
     coords = tuple(coords)
 
     def density_fn(theta):
@@ -96,14 +93,12 @@ def kl_gain_profile(spec: ClosureSpec, phi_prior: StatParams,
     """KL divergence of the posterior forecast from the prior forecast as a
     function of x at time t.  Returns (x_nodes, dkl)."""
     xs = grid.x_nodes
-    deterministic_inputs = resolve_deterministic_inputs(spec, deterministic_inputs)
 
     def slicer(phi):
         """The forecast U-slice at (x, t) under phi, as a function of x; a
         grid solve keeps one U-row per x-node rather than a list of slices."""
         if spec.family == "exact_deterministic_k":
-            return lambda x: solve_cdf_characteristics(phi.get("k_mean"), phi, cfg, x - grid.x_min,
-                                                       t, grid.u_nodes, deterministic_inputs)
+            return lambda x: forecast_slice(phi, spec, cfg, grid, x, t, deterministic_inputs)
         sol = solve_cdf_fv(spec, phi, cfg, grid, t_end=t,
                            deterministic_inputs=deterministic_inputs, store="last")
         return lambda x: sol.slice_at(x, t)

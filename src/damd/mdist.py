@@ -4,9 +4,10 @@ characteristics.
 
 One evaluator gives the closure: `_closure_evaluator` is the only code that
 tells the families apart, mapping memory horizons t* to the variance
-correction I(t*), and `_drift_diffusion` the only code that reads the sign
-convention, mapping I to the drift and the diffusion. `closure_correction`,
-`closure_coefficients` and the grid solver's step loop all go through both.
+correction I(t*), with the rate covariance taken along the characteristic at
+lag v tau, and `_drift_diffusion` the only code that reads the sign
+convention, mapping I to the drift and the diffusion. `closure_coefficients`
+and the grid solver's step loop go through both.
 
 The grid solver (`solve_cdf_fv`) moves F along the characteristics of the x-
 and U-drift, reading it at each step's departure points by linear
@@ -19,9 +20,9 @@ i - floor(c) and, when c is fractional, i - floor(c) - 1 of the step before;
 the U-drift, the closure and the U-diffusion act on one x-node at a time. So
 the U-slice at one node after n steps depends only on its backward
 characteristic cone, rows i - (floor(c) + [c fractional]) m .. i - floor(c) m
-at m steps before the end (clipped at x_min). A forecast of one slice
-advances just those rows, with the same arithmetic on each row as the
-full-field solve, so its result is bit-identical to it.
+at m steps before the end (clipped at x_min). `forecast_slice` advances
+just those rows, with the same arithmetic on each row as the full-field
+solve, so its result is bit-identical to it.
 
 Both run `_advance` in blocks of steps, each at most n_x + 1 rows in all: a
 coefficient pass evaluates all that does not depend on F for every (step,
@@ -140,11 +141,15 @@ def t_star(U, x, t, k_mean, u_max):
     return float(out) if out.ndim == 0 else out
 
 
-def _closure_evaluator(spec: ClosureSpec, phi: StatParams, base):
+def _closure_evaluator(spec: ClosureSpec, phi: StatParams, base, v: float):
     """corr(t, rows) = I(min(t, base[rows])), the variance correction I(t*)
     that enters both the drift and the diffusion, for t* = min(t, base) with
     base the t-independent part of the memory horizon, t_star(U, x/v, inf).
     rows indexes base: x-rows as a slice or an array (t a column), or ....
+
+    I(t*) integrates exp(<k> tau) C(v tau) over [0, t*]: in time tau the
+    characteristic of speed v covers the lag v tau, so the exponential
+    covariance k_std^2 exp(-h / k_corr_len) gives alpha = <k> - v / k_corr_len.
 
     The only place where the closure families differ. For the closed forms
     exp(alpha t*) = min/max(exp(alpha base), exp(alpha t)) by monotonicity,
@@ -169,7 +174,8 @@ def _closure_evaluator(spec: ClosureSpec, phi: StatParams, base):
                 chunk = max(1, int(2e7) // (n + 1))
                 for lo in range(0, flat.size, chunk):
                     tau = flat[lo:lo + chunk, None] * w  # each point uses its own [0, t*]
-                    integrand = np.exp(np.clip(k * tau, -_EXP_CLIP, _EXP_CLIP)) * spec.cov_fn(tau)
+                    integrand = (np.exp(np.clip(k * tau, -_EXP_CLIP, _EXP_CLIP))
+                                 * spec.cov_fn(v * tau))
                     res[lo:lo + chunk] = np.trapezoid(integrand, tau, axis=-1)
                 out = res.reshape(ts.shape)
             if spec.nugget:
@@ -177,7 +183,7 @@ def _closure_evaluator(spec: ClosureSpec, phi: StatParams, base):
             return out
 
         return quadrature
-    alpha = k if spec.family == "random_constant_k" else k - 1.0 / phi.get("k_corr_len")
+    alpha = k if spec.family == "random_constant_k" else k - v / phi.get("k_corr_len")
     if abs(alpha) < _ALPHA_LIMIT:  # the removable limit of (exp(alpha t*) - 1) / alpha
         return lambda t, rows: var * np.minimum(t, base[rows])
     e_base = np.exp(np.clip(alpha * base, -_EXP_CLIP, _EXP_CLIP))
@@ -201,18 +207,13 @@ def _drift_diffusion(spec: ClosureSpec, phi: StatParams, corr, U):
     return sign * corr - phi.get("k_mean"), np.maximum(U * U * corr, 0.0)
 
 
-def closure_correction(spec: ClosureSpec, phi: StatParams, ts):
-    """Variance correction I(t*) at the memory horizons ts."""
-    return _closure_evaluator(spec, phi, ts)(np.inf, ...)
-
-
 def closure_coefficients(spec: ClosureSpec, phi: StatParams, x, t, U,
                          u_max: float = 1.0, v: float = 1.0) -> ClosureCoeffs:
     """Drift and diffusion of the CDF equation at (x, t, U), broadcasting over
     array-valued x and U."""
     U = np.asarray(U, dtype=float)
     base = t_star(U, np.asarray(x, dtype=float) / v, np.inf, phi.get("k_mean"), u_max)
-    r, d22 = _drift_diffusion(spec, phi, _closure_evaluator(spec, phi, base)(t, ...), U)
+    r, d22 = _drift_diffusion(spec, phi, _closure_evaluator(spec, phi, base, v)(t, ...), U)
     q2, d22 = np.broadcast_arrays(r * U, d22)
     return ClosureCoeffs(v, np.array(q2), np.array(d22))
 
@@ -416,7 +417,7 @@ def _advance(spec: ClosureSpec, phi: StatParams, cfg: PhysicsConfig,
     U = us[None, :]
     travel = (xs[:top + 1, None] - grid.x_min) / cfg.v  # from the inflow at x_min
     corr_at = _closure_evaluator(spec, phi, t_star(U, travel, np.inf, phi.get("k_mean"),
-                                                   grid.u_max))
+                                                   grid.u_max), cfg.v)
     exact = spec.family == "exact_deterministic_k"  # no diffusion
 
     s0 = 0
@@ -532,3 +533,22 @@ def solve_cdf_characteristics(k: float, phi: StatParams, cfg: PhysicsConfig,
     vals = np.clip(vals, 0.0, 1.0)
     vals[0], vals[-1] = 0.0, 1.0
     return DiscreteCdf(u, vals)
+
+
+def forecast_slice(phi: StatParams, spec: ClosureSpec, cfg: PhysicsConfig,
+                   grid: Grid2D, x: float, t: float,
+                   deterministic_inputs: bool | None = None) -> DiscreteCdf:
+    """Forecast with parameters phi the U-slice at the grid node nearest to
+    (x, t), bit-identical to `solve_cdf_fv(..., t_end=t, store="last")`
+    followed by `slice_at(x, t)`.
+
+    The grid solve advances only the backward characteristic cone of that
+    node (see the module docstring). The exact closure is evaluated by
+    characteristics from x_min instead.
+    """
+    if spec.family == "exact_deterministic_k":
+        return solve_cdf_characteristics(
+            phi.get("k_mean"), phi, cfg, x - grid.x_min, t, grid.u_nodes,
+            resolve_deterministic_inputs(spec, deterministic_inputs))
+    return _advance(spec, phi, cfg, grid, t, deterministic_inputs, "last",
+                    cone_x=x).slice_at(x, t)

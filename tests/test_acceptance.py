@@ -32,10 +32,11 @@ from damd import (ClosureSpec, DiscreteCdf, GaussianDist, Grid2D, KField,
                   OptimizerConfig, PhysicsConfig, StatParams, analytic_state,
                   closure_coefficients, cramer_distance, damd_assimilate,
                   empirical_cdf, enkf_assimilate, enkf_update,
-                  exact_bayes_inputs, fim_from_density_fn, generate_observations,
-                  grid_bayes_k, kl_divergence, kl_gain_profile,
-                  observational_posterior, pdf_from_cdf, sample_k_field,
-                  solve_cdf_characteristics, solve_cdf_fv, two_sensor_schedule)
+                  exact_bayes_inputs, fim_from_density_fn, forecast_slice,
+                  generate_observations, grid_bayes_k, kl_divergence,
+                  kl_gain_profile, observational_posterior, pdf_from_cdf,
+                  sample_k_field, solve_cdf_characteristics, solve_cdf_fv,
+                  two_sensor_schedule)
 from damd.core import DiscretePdf
 from damd.physics import make_rng
 
@@ -122,8 +123,7 @@ def test_criterion_3_monte_carlo_cross_validation():
     fv_sup = dict.fromkeys(laws, 0.0)
     fv_tol = dict.fromkeys(laws, np.inf)
     for (x, t) in probes:
-        fv = solve_cdf_fv(spec, phi, PhysicsConfig(), grid, t_end=t,
-                          store="last").slice_at(x, t)
+        fv = forecast_slice(phi, spec, PhysicsConfig(), grid, x, t)
         u = grid.u_nodes
         with np.errstate(divide="ignore"):
             # initial-region characteristic (x > t): u = 0.4 exp(-k t) falls

@@ -192,6 +192,15 @@ class TestAssimilate:
         assert (out / "ensemble_posterior.csv").exists()
         rows = (out / "ensemble_posterior.csv").read_text().strip().splitlines()
         assert len(rows) == 1 + 10 * 20  # header + n_ens * n_x
+        # the output directory records which scenario ran
+        assert load_config(out / "resolved_config.ini")["closure"]["family"] == "white_noise_k"
+
+    def test_config_family_without_mode(self, tmp_path):
+        p = write(tmp_path, "c.ini", WHITE_INI + "\n[closure]\nfamily = white_noise_k\n")
+        out = tmp_path / "out"
+        assert main(["assimilate", "--config", str(p), "--out-dir", str(out)]) == 0
+        assert (out / "ensemble_posterior.csv").exists()
+        assert not (out / "bayes_posterior.csv").exists()
 
     def test_seed_override_recorded(self, tmp_path):
         p = write(tmp_path, "c.ini", FORWARD_INI)

@@ -10,7 +10,7 @@ from damd import (ClosureSpec, ContractError, Grid2D, PhysicsConfig, StatParams,
                   closure_coefficients, cramer_distance, forecast_slice,
                   initial_boundary_cdfs, solve_cdf_characteristics, solve_cdf_fv,
                   t_star)
-from damd.mdist import _gtsv, closure_correction
+from damd.mdist import _closure_evaluator, _gtsv
 from damd.core import empirical_cdf
 from damd.physics import forcing, make_rng
 from scipy.special import ndtri
@@ -81,6 +81,11 @@ class TestTStar:
     def test_nonnegative_and_bounded(self, u, x, t):
         ts = t_star(u, x, t, 1.3, 1.0)
         assert 0.0 <= ts <= min(x, t) + 1e-15
+
+
+def closure_correction(spec, phi, ts):
+    """Variance correction I(t*) at the memory horizons ts, at v = 1."""
+    return _closure_evaluator(spec, phi, ts, 1.0)(np.inf, ...)
 
 
 class TestClosureCorrection:
@@ -175,6 +180,21 @@ class TestClosureCoefficients:
             co = closure_coefficients(spec, PHI, 0.4, 0.0, U)
             assert np.array_equal(co.q2, exact.q2), spec
             assert np.all(co.d22 == 0.0), spec
+
+    @pytest.mark.parametrize("family", ["exponential_k", "general_quadrature"])
+    def test_covariance_at_lag_v_tau(self, family):
+        # at v = 2 the characteristic covers the lag 2 tau in time tau, so
+        # C(h) = 0.04 exp(-h / 0.25) gives alpha = <k> - v / lambda = -7;
+        # t* = min(t, x / v, ln(u_max / U) / <k>) = 0.3
+        phi = StatParams(k_mean=1.0, k_std=0.2, k_corr_len=0.25)
+        spec = ClosureSpec(family, cov_fn=lambda h: 0.04 * np.exp(-h / 0.25))
+        U = 0.5
+        co = closure_coefficients(spec, phi, x=0.8, t=0.3, U=np.array([U]), v=2.0)
+        alpha = 1.0 - 2.0 / 0.25
+        expect = 0.04 * (np.exp(alpha * 0.3) - 1.0) / alpha
+        rel = 1e-12 if family == "exponential_k" else 1e-6
+        assert co.d22[0] / U ** 2 == pytest.approx(expect, rel=rel)
+        assert expect == pytest.approx(0.0050145, abs=1e-7)
 
     def test_diffusion_nonnegative(self):
         U = np.linspace(0.0, 1.0, 65)
@@ -532,8 +552,7 @@ def _reference_solve(spec, phi, cfg, grid, deterministic_inputs):
     (snapshots, warnings) as `solve_cdf_fv(..., store="all")` returns them."""
     from scipy.linalg.lapack import dgtsv
 
-    from damd.mdist import (MONOTONE_WARN_TOL, _closure_evaluator, _drift_diffusion,
-                            resolve_deterministic_inputs)
+    from damd.mdist import MONOTONE_WARN_TOL, _drift_diffusion, resolve_deterministic_inputs
 
     n_steps = max(1, int(round(grid.t_end / grid.dt)))
     dt = grid.t_end / n_steps
@@ -573,7 +592,7 @@ def _reference_solve(spec, phi, cfg, grid, deterministic_inputs):
     U = us[None, :]
     travel = (xs[:, None] - grid.x_min) / cfg.v
     corr_at = _closure_evaluator(spec, phi, t_star(U, travel, np.inf, phi.get("k_mean"),
-                                                   grid.u_max))
+                                                   grid.u_max), cfg.v)
     snaps, warns = [F.copy()], []
     for step in range(n_steps):
         t_new = (step + 1) * dt
