@@ -304,7 +304,7 @@ def enkf_assimilate(measurements: MeasurementSet, prior_mean: float,
     for t_j in sorted(by_time):
         batch = by_time[t_j]
         u = solve_physical_fv(members, cfg, grid.dx, t_j)
-        cells = [min(int(m.x / grid.dx), grid.n_x - 1) for m in batch]
+        cells = [min(int((m.x - grid.x_min) / grid.dx), grid.n_x - 1) for m in batch]
         pred = u[:, cells]
         d = np.array([m.d for m in batch])
         sigma = batch[0].sigma_eps

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -18,13 +19,11 @@ from .assimilate import (OptimizerConfig, damd_assimilate, enkf_assimilate,
                          exact_bayes_inputs, grid_bayes_k)
 from .core import (ContractError, DegenerateInputError, GaussianDist, Grid2D,
                    empirical_cdf, write_csv)
-from .geometry import fim_from_density_fn, fisher_information, kl_gain_profile
+from .geometry import fisher_information, kl_gain_profile
 from .mdist import ClosureSpec, StatParams, solve_cdf_fv
 from .physics import (KField, PhysicsConfig, characteristic_origin,
                       empirical_semivariogram, forcing, generate_observations,
                       k_field_to_csv, make_rng, sample_k_field, two_sensor_schedule)
-
-_PI = np.pi
 
 # --mode -> [closure] family
 FAMILY_BY_MODE = {"inputs": "exact_deterministic_k",
@@ -32,13 +31,18 @@ FAMILY_BY_MODE = {"inputs": "exact_deterministic_k",
                   "k_white": "white_noise_k",
                   "k_exp": "exponential_k"}
 
+
+def _library(cls, *names) -> dict:
+    """Schema entries whose type and default are the dataclass's own."""
+    return {n: (type(getattr(cls, n)), getattr(cls, n)) for n in names}
+
+
 # section -> key -> (type, default); None default means required when used
 SCHEMA = {
     "domain": {"L": (float, 1.0), "u_min": (float, 0.0), "u_max": (float, 1.0),
                "n_x": (int, 200), "n_u": (int, 128), "dt": (float, 0.01),
                "t_end": (float, 0.6)},
-    "physics": {"v": (float, 1.0), "u0": (float, 0.4), "ub": (float, 0.5),
-                "a": (float, 0.1), "nu": (float, 1.0), "phase": (float, 1.5 * _PI)},
+    "physics": _library(PhysicsConfig, "v", "u0", "ub", "a", "nu", "phase"),
     "truth": {"kind": (str, "constant"), "k_mean": (float, 1.0),
               "k_std": (float, 0.0), "k_corr_len": (float, 0.0),
               "u0": (float, None), "ub": (float, None), "seed": (int, 1)},
@@ -49,16 +53,14 @@ SCHEMA = {
               "mub": (float, None), "sigmab": (float, None),
               "k_mean": (float, None), "k_std": (float, None),
               "k_corr_len": (float, None)},
-    "optimizer": {"tol": (float, 1e-3), "max_iters": (int, 200),
-                  "initial_simplex_scale": (float, 0.1)},
+    "optimizer": _library(OptimizerConfig, "tol", "max_iters", "initial_simplex_scale"),
     "enkf": {"n_ens": (int, 50), "seed": (int, 1)},
     "closure": {"family": (str, "random_constant_k"),
-                "sign_convention": (str, "appendix")},
+                **_library(ClosureSpec, "sign_convention")},
     "mc": {"n_mc": (int, 1000), "xs": (str, "0.8"), "ts": (str, "0.6"),
            "seed": (int, 1)},
     "fim": {"x": (float, 0.5), "t": (float, 0.3), "coords": (str, "k_mean,k_std"),
-            "h_rel": (float, 1e-3), "selftest": (str, "false"),
-            "mean": (float, 0.0), "std": (float, 1.0)},
+            "h_rel": (float, 1e-3)},
 }
 
 
@@ -112,12 +114,10 @@ def _grid(cfg) -> Grid2D:
                   d["dt"], d["t_end"])
 
 
-def _physics(cfg, k_field=None, u0=None, ub=None) -> PhysicsConfig:
-    p = cfg["physics"]
-    return PhysicsConfig(u0=p["u0"] if u0 is None else u0,
-                         ub=p["ub"] if ub is None else ub,
-                         a=p["a"], nu=p["nu"], phase=p["phase"], v=p["v"],
-                         k_field=k_field)
+def _physics(cfg, **overrides) -> PhysicsConfig:
+    """[physics], with each override that is not None in its place."""
+    given = {k: v for k, v in overrides.items() if v is not None}
+    return PhysicsConfig(**{**cfg["physics"], **given})
 
 
 def _prior_params(cfg) -> StatParams:
@@ -126,8 +126,7 @@ def _prior_params(cfg) -> StatParams:
 
 
 def _closure(cfg) -> ClosureSpec:
-    c = cfg["closure"]
-    return ClosureSpec(family=c["family"], sign_convention=c["sign_convention"])
+    return ClosureSpec(**cfg["closure"])
 
 
 def _floats(s) -> list:
@@ -176,7 +175,7 @@ def cmd_forward(cfg, out_dir: Path) -> int:
 
 
 def _write_trace(trace, out_dir: Path):
-    names = ("k_mean", "k_std", "k_corr_len", "mu0", "sigma0", "mub", "sigmab")
+    names = [f.name for f in dataclasses.fields(StatParams)]
     header = ["step", "x", "t"]
     for n in names:
         header += [f"{n}_before", f"{n}_after"]
@@ -228,9 +227,8 @@ def cmd_assimilate(cfg, out_dir: Path) -> int:
                                        corr, grid, phys,
                                        cfg["enkf"]["n_ens"], cfg["enkf"]["seed"])
         rows = []
-        xs = grid.x_min + (np.arange(grid.n_x) + 0.5) * grid.dx
         for i, member in enumerate(ens.members):
-            for x, k in zip(xs, member):
+            for x, k in zip(grid.x_cells, member):
                 rows.append([i, x, k])
         write_csv(out_dir / "ensemble_posterior.csv", ["member", "x", "k"], rows)
         if spec.family == "exponential_k":
@@ -247,8 +245,7 @@ def cmd_assimilate(cfg, out_dir: Path) -> int:
 def cmd_verify_mc(cfg, out_dir: Path) -> int:
     grid = _grid(cfg)
     phys = _physics(cfg)
-    spec = ClosureSpec(family="random_constant_k",
-                       sign_convention=cfg["closure"]["sign_convention"])
+    spec = dataclasses.replace(_closure(cfg), family="random_constant_k")
     phi = _prior_params(cfg)
     mean, std = phi.get("k_mean"), phi.get("k_std")
     n_mc = cfg["mc"]["n_mc"]
@@ -287,27 +284,10 @@ def cmd_verify_mc(cfg, out_dir: Path) -> int:
 
 
 def cmd_fim(cfg, out_dir: Path) -> int:
-    from scipy.stats import norm
-
     fim_cfg = cfg["fim"]
     coords = [c.strip() for c in fim_cfg["coords"].split(",") if c.strip()]
-    if fim_cfg["selftest"].lower() in ("true", "1", "yes"):
-        mean, std = fim_cfg["mean"], fim_cfg["std"]
-        u = np.linspace(mean - 8 * std, mean + 8 * std, 4001)
-
-        def density_fn(theta):
-            from .core import DiscretePdf
-            dens = norm.pdf(u, theta["mean"], theta["std"])
-            return DiscretePdf(u, dens / np.trapezoid(dens, u))
-
-        fim = fim_from_density_fn(density_fn, {"mean": mean, "std": std},
-                                  ("mean", "std"), h_rel=fim_cfg["h_rel"])
-    else:
-        grid = _grid(cfg)
-        phys = _physics(cfg)
-        fim = fisher_information(_closure(cfg), _prior_params(cfg),
-                                 fim_cfg["x"], fim_cfg["t"], coords, phys, grid,
-                                 h_rel=fim_cfg["h_rel"])
+    fim = fisher_information(_closure(cfg), _prior_params(cfg), fim_cfg["x"], fim_cfg["t"],
+                             coords, _physics(cfg), _grid(cfg), h_rel=fim_cfg["h_rel"])
     rows = []
     for i, ci in enumerate(fim.coords):
         for j, cj in enumerate(fim.coords):

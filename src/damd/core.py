@@ -63,6 +63,12 @@ class Grid2D:
         return np.linspace(self.x_min, self.x_max, self.n_x + 1)
 
     @property
+    def x_cells(self) -> np.ndarray:
+        """Centres of the n_x cells of width dx between the x-nodes, where a
+        rate field takes its values."""
+        return self.x_min + (np.arange(self.n_x) + 0.5) * self.dx
+
+    @property
     def u_nodes(self) -> np.ndarray:
         return np.linspace(self.u_min, self.u_max, self.n_u + 1)
 

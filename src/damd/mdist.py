@@ -96,7 +96,8 @@ class ClosureSpec:
 
     general_quadrature integrates exp(<k> tau) * C(v tau) over [0, t*] by
     trapezoid rule; a point mass of the covariance at zero lag (nugget)
-    contributes half its weight, matching the one-sided integration range.
+    contributes half its weight divided by v: taken at lag v tau it is
+    nugget delta(tau) / v, and the integration range is one-sided.
     """
 
     family: str
@@ -149,7 +150,9 @@ def _closure_evaluator(spec: ClosureSpec, phi: StatParams, base, v: float):
 
     I(t*) integrates exp(<k> tau) C(v tau) over [0, t*]: in time tau the
     characteristic of speed v covers the lag v tau, so the exponential
-    covariance k_std^2 exp(-h / k_corr_len) gives alpha = <k> - v / k_corr_len.
+    covariance k_std^2 exp(-h / k_corr_len) gives alpha = <k> - v / k_corr_len,
+    and a point mass sigma^2 delta(h) (white noise, the nugget) the weight
+    0.5 sigma^2 / v.
 
     The only place where the closure families differ. For the closed forms
     exp(alpha t*) = min/max(exp(alpha base), exp(alpha t)) by monotonicity,
@@ -161,7 +164,7 @@ def _closure_evaluator(spec: ClosureSpec, phi: StatParams, base, v: float):
     k = phi.get("k_mean")
     var = phi.get("k_std") ** 2
     if spec.family == "white_noise_k":
-        return lambda t, rows: np.where(np.minimum(t, base[rows]) > 0, 0.5 * var, 0.0)
+        return lambda t, rows: np.where(np.minimum(t, base[rows]) > 0, 0.5 * var / v, 0.0)
     if spec.family == "general_quadrature":
         def quadrature(t, rows):
             ts = np.minimum(t, base[rows])
@@ -179,7 +182,7 @@ def _closure_evaluator(spec: ClosureSpec, phi: StatParams, base, v: float):
                     res[lo:lo + chunk] = np.trapezoid(integrand, tau, axis=-1)
                 out = res.reshape(ts.shape)
             if spec.nugget:
-                out = out + np.where(ts > 0, 0.5 * spec.nugget, 0.0)
+                out = out + np.where(ts > 0, 0.5 * spec.nugget / v, 0.0)
             return out
 
         return quadrature

@@ -104,8 +104,7 @@ class MeasurementSet:
 
 
 def k_field_to_csv(kf: KField, grid: Grid2D, path):
-    xs = grid.x_min + (np.arange(len(kf.node_values)) + 0.5) * grid.dx
-    write_csv(path, ["x", "k"], zip(xs, kf.node_values))
+    write_csv(path, ["x", "k"], zip(grid.x_cells, kf.node_values))
 
 
 def forcing(t, cfg: PhysicsConfig):
@@ -178,7 +177,7 @@ def sample_k_field(kind, mean, std, corr_len, grid: Grid2D, seed, stream: int = 
     elif kind == "exponential":
         if not (corr_len and corr_len > 0):
             raise ContractError("exponential field needs corr_len > 0")
-        xs = grid.x_min + (np.arange(n) + 0.5) * grid.dx
+        xs = grid.x_cells
         cov = std ** 2 * np.exp(-np.abs(xs[:, None] - xs[None, :]) / corr_len)
         cov[np.diag_indices(n)] += COV_JITTER
         try:
@@ -250,8 +249,6 @@ def empirical_semivariogram(field_samples, grid: Grid2D, bin_width: float | None
     if max_lag is None:
         max_lag = 0.5 * (grid.x_max - grid.x_min)
     vals = np.stack([np.asarray(f.node_values, dtype=float) for f in field_samples])
-    n = vals.shape[1]
-    xs = (np.arange(n) + 0.5) * dx
     lags, gammas = [], []
     n_bins = int(np.ceil(max_lag / bin_width))
     max_sep = int(np.floor(max_lag / dx))

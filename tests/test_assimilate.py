@@ -295,6 +295,19 @@ class TestEnkfAssimilate:
                                    PhysicsConfig(), 30, seed=1)
         assert trace[-1]["k_std_avg"] < 0.5
 
+    def test_cells_counted_from_x_min(self):
+        # a white prior draws the same members on [0, 1] and [1, 2], so data
+        # in the same cells of both grids give the same posterior ensemble
+        cfg = PhysicsConfig(k_field=KField.constant(1.0, 100))
+        ms = generate_observations(cfg, two_sensor_schedule((0.105, 0.805)), 0.02,
+                                   noise_seed=0, dx=self.GRID.dx)
+        shifted = MeasurementSet(tuple(Measurement(m.x + 1.0, m.t, m.d, m.sigma_eps)
+                                       for m in ms))
+        grid = Grid2D(1.0, 2.0, 100, 0.0, 1.0, 64, 0.01, 0.6)
+        _, a = enkf_assimilate(ms, 2.0, 0.5, None, self.GRID, PhysicsConfig(), 20, seed=3)
+        _, b = enkf_assimilate(shifted, 2.0, 0.5, None, grid, PhysicsConfig(), 20, seed=3)
+        assert np.array_equal(a.members, b.members)
+
     def test_rejects_tiny_ensemble(self):
         with pytest.raises(ContractError):
             enkf_assimilate(self._observations(), 2.0, 0.5, None, self.GRID,

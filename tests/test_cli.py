@@ -1,7 +1,13 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from damd.cli import load_config, main, ConfigError
+from damd import (ClosureSpec, Grid2D, OptimizerConfig, PhysicsConfig, StatParams,
+                  fisher_information)
+from damd.cli import ConfigError, _closure, _physics, load_config, main
+
+FIG2_INI = Path(__file__).resolve().parents[1] / "configs" / "fig2_constant_rate.ini"
 
 FORWARD_INI = """\
 [domain]
@@ -91,13 +97,6 @@ xs = 0.8
 ts = 0.1
 """
 
-FIM_INI = """\
-[fim]
-selftest = true
-mean = 0.0
-std = 1.0
-"""
-
 
 def write(tmp_path, name, text):
     p = tmp_path / name
@@ -111,6 +110,12 @@ class TestConfig:
         assert cfg["domain"]["n_x"] == 20
         assert cfg["physics"]["u0"] == 0.4
         assert cfg["closure"]["family"] == "random_constant_k"
+
+    def test_defaults_are_the_library_defaults(self, tmp_path):
+        cfg = load_config(write(tmp_path, "c.ini", ""))
+        assert _physics(cfg) == PhysicsConfig()
+        assert OptimizerConfig(**cfg["optimizer"]) == OptimizerConfig()
+        assert _closure(cfg) == ClosureSpec("random_constant_k")
 
     def test_rejects_unknown_key(self, tmp_path):
         p = write(tmp_path, "c.ini", "[domain]\nn_z = 3\n")
@@ -228,13 +233,14 @@ class TestVerifyMc:
 
 
 class TestFim:
-    def test_selftest_matches_gaussian_metric(self, tmp_path):
-        p = write(tmp_path, "c.ini", FIM_INI)
+    def test_matches_fisher_information(self, tmp_path):
         out = tmp_path / "out"
-        rc = main(["fim", "--config", str(p), "--out-dir", str(out)])
-        assert rc == 0
-        rows = (out / "fim.csv").read_text().strip().splitlines()[1:]
-        g = {(r.split(",")[0], r.split(",")[1]): float(r.split(",")[2]) for r in rows}
-        assert g[("mean", "mean")] == pytest.approx(1.0, rel=1e-3)
-        assert g[("std", "std")] == pytest.approx(2.0, rel=1e-3)
-        assert abs(g[("mean", "std")]) < 1e-3
+        assert main(["fim", "--config", str(FIG2_INI), "--out-dir", str(out)]) == 0
+        # the grid and prior of FIG2_INI at the [fim] defaults
+        grid = Grid2D(0.0, 1.0, 200, 0.0, 1.0, 128, 0.01, 0.6)
+        fim = fisher_information(ClosureSpec("random_constant_k"),
+                                 StatParams(k_mean=2.0, k_std=0.2), 0.5, 0.3,
+                                 ["k_mean", "k_std"], PhysicsConfig(), grid, h_rel=1e-3)
+        rows = [r.split(",") for r in (out / "fim.csv").read_text().strip().splitlines()[1:]]
+        assert [(i, j) for i, j, _ in rows] == [(i, j) for i in fim.coords for j in fim.coords]
+        assert np.array_equal([float(g) for _, _, g in rows], fim.entries.reshape(-1))

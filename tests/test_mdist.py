@@ -181,19 +181,37 @@ class TestClosureCoefficients:
             assert np.array_equal(co.q2, exact.q2), spec
             assert np.all(co.d22 == 0.0), spec
 
-    @pytest.mark.parametrize("family", ["exponential_k", "general_quadrature"])
+    @pytest.mark.parametrize("family", ["exponential_k", "general_quadrature",
+                                        "white_noise_k", "nugget"])
     def test_covariance_at_lag_v_tau(self, family):
         # at v = 2 the characteristic covers the lag 2 tau in time tau, so
-        # C(h) = 0.04 exp(-h / 0.25) gives alpha = <k> - v / lambda = -7;
+        # C(h) = 0.04 exp(-h / 0.25) gives alpha = <k> - v / lambda = -7, and
+        # a point mass 0.04 delta(h) (white noise, a quadrature nugget) is
+        # 0.04 delta(tau) / v, of which [0, t*] holds 0.5 * 0.04 / v = 0.01;
         # t* = min(t, x / v, ln(u_max / U) / <k>) = 0.3
         phi = StatParams(k_mean=1.0, k_std=0.2, k_corr_len=0.25)
-        spec = ClosureSpec(family, cov_fn=lambda h: 0.04 * np.exp(-h / 0.25))
         U = 0.5
-        co = closure_coefficients(spec, phi, x=0.8, t=0.3, U=np.array([U]), v=2.0)
+
+        def d22(spec):
+            co = closure_coefficients(spec, phi, x=0.8, t=0.3, U=np.array([U]), v=2.0)
+            return co.d22[0] / U ** 2
+
+        if family in ("white_noise_k", "nugget"):
+            spec = (ClosureSpec(family) if family == "white_noise_k"
+                    else ClosureSpec("general_quadrature", nugget=0.04))
+            assert d22(spec) == pytest.approx(0.01, rel=1e-12)
+            # the limit of a narrow Gaussian covariance of the same weight
+            eps = 1e-4
+            narrow = ClosureSpec("general_quadrature", quad_points=200_000,
+                                 cov_fn=lambda h: 0.04 * np.exp(-0.5 * (h / eps) ** 2)
+                                 / (eps * np.sqrt(2.0 * np.pi)))
+            assert d22(narrow) == pytest.approx(0.01, rel=1e-3)
+            return
+        spec = ClosureSpec(family, cov_fn=lambda h: 0.04 * np.exp(-h / 0.25))
         alpha = 1.0 - 2.0 / 0.25
         expect = 0.04 * (np.exp(alpha * 0.3) - 1.0) / alpha
         rel = 1e-12 if family == "exponential_k" else 1e-6
-        assert co.d22[0] / U ** 2 == pytest.approx(expect, rel=rel)
+        assert d22(spec) == pytest.approx(expect, rel=rel)
         assert expect == pytest.approx(0.0050145, abs=1e-7)
 
     def test_diffusion_nonnegative(self):
