@@ -20,7 +20,7 @@ from .assimilate import (OptimizerConfig, damd_assimilate, enkf_assimilate,
 from .core import (ContractError, DegenerateInputError, GaussianDist, Grid2D,
                    empirical_cdf, write_csv)
 from .geometry import fisher_information, kl_gain_profile
-from .mdist import ClosureSpec, StatParams, solve_cdf_fv
+from .mdist import ClosureSpec, StatParams, forecast_slice, solve_cdf_fv
 from .physics import (KField, PhysicsConfig, characteristic_origin,
                       empirical_semivariogram, forcing, generate_observations,
                       k_field_to_csv, make_rng, sample_k_field, two_sensor_schedule)
@@ -121,7 +121,11 @@ def _physics(cfg, **overrides) -> PhysicsConfig:
 
 
 def _prior_params(cfg) -> StatParams:
+    """[prior]; the exact closure takes an unset k_mean from [truth], since
+    its deterministic rate comes from the model."""
     pr = {k: v for k, v in cfg["prior"].items() if v is not None}
+    if cfg["closure"]["family"] == "exact_deterministic_k":
+        pr.setdefault("k_mean", cfg["truth"]["k_mean"])
     return StatParams(**pr)
 
 
@@ -198,12 +202,7 @@ def cmd_assimilate(cfg, out_dir: Path) -> int:
     meas.to_csv(out_dir / "measurements.csv")
     opt = OptimizerConfig(**cfg["optimizer"])
     phi0 = _prior_params(cfg)
-
     spec = _closure(cfg)
-    if spec.family == "exact_deterministic_k" and phi0.k_mean is None:
-        # the deterministic rate of the exact closure comes from the model
-        phi0 = phi0.replace(k_mean=cfg["truth"]["k_mean"])
-
     trace = damd_assimilate(meas, phi0, spec, phys, grid, opt)
     _write_trace(trace, out_dir)
     phi_post = trace.phi_final or phi0
@@ -262,10 +261,9 @@ def cmd_verify_mc(cfg, out_dir: Path) -> int:
     }
 
     probes = [(x, t) for t in _floats(cfg["mc"]["ts"]) for x in _floats(cfg["mc"]["xs"])]
-    sol = solve_cdf_fv(spec, phi, phys, grid)
     rows, summary = [], []
     for (x, t) in probes:
-        fv = sol.slice_at(x, t)
+        fv = forecast_slice(phi, spec, phys, grid, x, t)
         # the exact state under a constant rate k, as in analytic_state: the
         # initial state or the inflow its characteristic carries, decayed
         # for the time it travelled

@@ -123,9 +123,9 @@ class ClosureCoeffs:
 
 
 def t_star(U, x, t, k_mean, u_max):
-    """Memory horizon min{t, x, <k>^-1 ln(u_max / U)}, with x already divided
-    by the speed v: x / v is the time the backward characteristic takes to
-    reach the inflow boundary at x = 0.
+    """Memory horizon min{t, x, <k>^-1 ln(u_max / U)}, with x the distance
+    from the inflow boundary at x_min divided by the speed v: the time the
+    backward characteristic takes to reach the inflow.
 
     The log term diverges as U -> 0 and is skipped when <k> <= 0, where the
     corresponding backward characteristic never exits through U = u_max.
@@ -142,11 +142,9 @@ def t_star(U, x, t, k_mean, u_max):
     return float(out) if out.ndim == 0 else out
 
 
-def _closure_evaluator(spec: ClosureSpec, phi: StatParams, base, v: float):
-    """corr(t, rows) = I(min(t, base[rows])), the variance correction I(t*)
-    that enters both the drift and the diffusion, for t* = min(t, base) with
-    base the t-independent part of the memory horizon, t_star(U, x/v, inf).
-    rows indexes base: x-rows as a slice or an array (t a column), or ....
+def _closure_evaluator(spec: ClosureSpec, phi: StatParams, v: float):
+    """I(ts), the variance correction at the memory horizons ts (see
+    `t_star`) that enters both the drift and the diffusion, elementwise.
 
     I(t*) integrates exp(<k> tau) C(v tau) over [0, t*]: in time tau the
     characteristic of speed v covers the lag v tau, so the exponential
@@ -154,20 +152,17 @@ def _closure_evaluator(spec: ClosureSpec, phi: StatParams, base, v: float):
     and a point mass sigma^2 delta(h) (white noise, the nugget) the weight
     0.5 sigma^2 / v.
 
-    The only place where the closure families differ. For the closed forms
-    exp(alpha t*) = min/max(exp(alpha base), exp(alpha t)) by monotonicity,
-    so exp is evaluated on base once, not again at each t.
+    The only place where the closure families differ.
     """
-    base = np.asarray(base, dtype=float)
     if spec.family == "exact_deterministic_k":
-        return lambda t, rows: np.zeros_like(base[rows])
+        return np.zeros_like
     k = phi.get("k_mean")
     var = phi.get("k_std") ** 2
     if spec.family == "white_noise_k":
-        return lambda t, rows: np.where(np.minimum(t, base[rows]) > 0, 0.5 * var / v, 0.0)
+        return lambda ts: np.where(ts > 0, 0.5 * var / v, 0.0)
     if spec.family == "general_quadrature":
-        def quadrature(t, rows):
-            ts = np.minimum(t, base[rows])
+        def quadrature(ts):
+            ts = np.asarray(ts, dtype=float)
             out = np.zeros_like(ts)
             if spec.cov_fn is not None:
                 n = spec.quad_points
@@ -188,15 +183,8 @@ def _closure_evaluator(spec: ClosureSpec, phi: StatParams, base, v: float):
         return quadrature
     alpha = k if spec.family == "random_constant_k" else k - v / phi.get("k_corr_len")
     if abs(alpha) < _ALPHA_LIMIT:  # the removable limit of (exp(alpha t*) - 1) / alpha
-        return lambda t, rows: var * np.minimum(t, base[rows])
-    e_base = np.exp(np.clip(alpha * base, -_EXP_CLIP, _EXP_CLIP))
-    cut = np.minimum if alpha > 0 else np.maximum
-
-    def closed_form(t, rows):
-        e_t = np.exp(np.clip(alpha * t, -_EXP_CLIP, _EXP_CLIP))
-        return var * (cut(e_base[rows], e_t) - 1.0) / alpha
-
-    return closed_form
+        return lambda ts: var * ts
+    return lambda ts: var * (np.exp(np.clip(alpha * ts, -_EXP_CLIP, _EXP_CLIP)) - 1.0) / alpha
 
 
 def _drift_diffusion(spec: ClosureSpec, phi: StatParams, corr, U):
@@ -215,8 +203,8 @@ def closure_coefficients(spec: ClosureSpec, phi: StatParams, x, t, U,
     """Drift and diffusion of the CDF equation at (x, t, U), broadcasting over
     array-valued x and U."""
     U = np.asarray(U, dtype=float)
-    base = t_star(U, np.asarray(x, dtype=float) / v, np.inf, phi.get("k_mean"), u_max)
-    r, d22 = _drift_diffusion(spec, phi, _closure_evaluator(spec, phi, base, v)(t, ...), U)
+    ts = t_star(U, np.asarray(x, dtype=float) / v, t, phi.get("k_mean"), u_max)
+    r, d22 = _drift_diffusion(spec, phi, _closure_evaluator(spec, phi, v)(ts), U)
     q2, d22 = np.broadcast_arrays(r * U, d22)
     return ClosureCoeffs(v, np.array(q2), np.array(d22))
 
@@ -419,9 +407,8 @@ def _advance(spec: ClosureSpec, phi: StatParams, cfg: PhysicsConfig,
     warnings: list = []
     U = us[None, :]
     travel = (xs[:top + 1, None] - grid.x_min) / cfg.v  # from the inflow at x_min
-    corr_at = _closure_evaluator(spec, phi, t_star(U, travel, np.inf, phi.get("k_mean"),
-                                                   grid.u_max), cfg.v)
-    exact = spec.family == "exact_deterministic_k"  # no diffusion
+    base = t_star(U, travel, np.inf, phi.get("k_mean"), grid.u_max)  # t* = min(t, base)
+    corr = _closure_evaluator(spec, phi, cfg.v)
 
     s0 = 0
     while s0 < n_steps:  # the last step of a block advances row top, so size > 0
@@ -438,25 +425,24 @@ def _advance(spec: ClosureSpec, phi: StatParams, cfg: PhysicsConfig,
             n = counts[s0:s1]
             local = np.arange(size) - np.repeat(np.cumsum(n) - n, n)
             rows, t_col = np.repeat(lo[s0:s1], n) + local, np.repeat(t_new, n)[:, None]
-        r, d22 = _drift_diffusion(spec, phi, corr_at(t_col, rows), U)
+        r, d22 = _drift_diffusion(spec, phi, corr(np.minimum(t_col, base[rows])), U)
         # drift departure points, read between nodes j and j + 1 (the ends
         # outside [U_min, U_max]) of the step's source rows, flattened
         pos = np.clip((U * np.exp(-r * dt) - grid.u_min) / du, 0.0, grid.n_u)
         j = np.minimum(pos.astype(np.intp), grid.n_u - 1)
         w = np.subtract(pos, j, out=pos)
         j += local[:, None] * width
-        if not exact:
-            sup = np.zeros_like(d22)  # -dt d22_{j+1/2} / du^2, zero at U_max
-            sup[:, :-1] = (-0.5 * dt / du ** 2) * (d22[:, :-1] + d22[:, 1:])
-            sub = np.empty_like(sup)
-            sub[:, 0] = 0.0
-            sub[:, 1:] = sup[:, :-1]
-            diag = 1.0 - sub
-            diag -= sup
-            # Dirichlet rows in U, which also uncouple the rows in the flat bands
-            sup[:, 0] = sub[:, -1] = sup[:, -1] = 0.0
-            diag[:, 0] = diag[:, -1] = 1.0
-            dl, d, dh = sub.reshape(-1)[1:], diag.reshape(-1), sup.reshape(-1)[:-1]
+        sup = np.zeros_like(d22)  # -dt d22_{j+1/2} / du^2, zero at U_max
+        sup[:, :-1] = (-0.5 * dt / du ** 2) * (d22[:, :-1] + d22[:, 1:])
+        sub = np.empty_like(sup)
+        sub[:, 0] = 0.0
+        sub[:, 1:] = sup[:, :-1]
+        diag = 1.0 - sub
+        diag -= sup
+        # Dirichlet rows in U, which also uncouple the rows in the flat bands
+        sup[:, 0] = sub[:, -1] = sup[:, -1] = 0.0
+        diag[:, 0] = diag[:, -1] = 1.0
+        dl, d, dh = sub.reshape(-1)[1:], diag.reshape(-1), sup.reshape(-1)[:-1]
         out = np.empty((size, width))
 
         # transport loop
@@ -490,10 +476,10 @@ def _advance(spec: ClosureSpec, phi: StatParams, cfg: PhysicsConfig,
                 np.subtract(f_hi, f_lo, out=f_hi)
                 np.multiply(w[a:b], f_hi, out=f_hi)
                 Fs = np.add(f_lo, f_hi, out=out[a:b])
-                if not exact:
-                    Fs[:, 0], Fs[:, -1] = 0.0, 1.0
-                    _gtsv(dl[a * width:b * width - 1], d[a * width:b * width],
-                          dh[a * width:b * width - 1], Fs.reshape(-1))
+                Fs[:, 0], Fs[:, -1] = 0.0, 1.0
+                # with d22 = 0 (the exact closure) the bands are the identity
+                _gtsv(dl[a * width:b * width - 1], d[a * width:b * width],
+                      dh[a * width:b * width - 1], Fs.reshape(-1))
                 Fs[:, 0], Fs[:, -1] = 0.0, 1.0
                 if not np.all(np.isfinite(Fs)):
                     raise ArithmeticError(f"non-finite CDF values at t = {t:g}")

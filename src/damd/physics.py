@@ -233,8 +233,7 @@ def solve_physical_fv(k_values, cfg: PhysicsConfig, dx: float, t_end: float,
         upstream[:, 1:] = u[:, :-1]
         upstream[:, 0] = forcing(t_new, cfg)
         u = u - c * (u - upstream) - dt * k * u
-    out = u
-    return out[0] if np.asarray(k_values).ndim == 1 else out
+    return u[0] if np.asarray(k_values).ndim == 1 else u
 
 
 def empirical_semivariogram(field_samples, grid: Grid2D, bin_width: float | None = None,

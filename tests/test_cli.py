@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from damd import (ClosureSpec, Grid2D, OptimizerConfig, PhysicsConfig, StatParams,
-                  fisher_information)
+                  fisher_information, forecast_slice)
 from damd.cli import ConfigError, _closure, _physics, load_config, main
 
-FIG2_INI = Path(__file__).resolve().parents[1] / "configs" / "fig2_constant_rate.ini"
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+FIG2_INI = CONFIGS / "fig2_constant_rate.ini"
+EXACT_INI = CONFIGS / "inputs_exact.ini"
 
 FORWARD_INI = """\
 [domain]
@@ -155,6 +157,16 @@ class TestForward:
         assert rows[0] == "x,median_u,iqr_u"
         assert len(rows) == 22  # header + 21 x nodes
 
+    def test_inputs_mode(self, tmp_path):
+        # the exact closure takes its deterministic rate from [truth] k_mean
+        out = tmp_path / "out"
+        assert main(["forward", "--mode", "inputs", "--config", str(EXACT_INI),
+                     "--out-dir", str(out)]) == 0
+        with open(out / "cdf_profile.csv") as fh:
+            assert fh.readline() == "t,x,U,F\n"
+        rows = (out / "summary_stats.csv").read_text().strip().splitlines()
+        assert len(rows) == 52  # header + 51 x nodes
+
     def test_deterministic_artifacts(self, tmp_path):
         p = write(tmp_path, "c.ini", FORWARD_INI)
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -231,6 +243,21 @@ class TestVerifyMc:
         assert all(0.0 <= s <= 1.0 for s in sups)
         assert "sup|F_mc - F_fv|" in capsys.readouterr().out
 
+    def test_off_grid_time_probed_at_that_time(self, tmp_path):
+        # t = 0.07 lies between the steps 0.06 and 0.08 of dt = 0.02
+        p = write(tmp_path, "c.ini", MC_INI.replace("ts = 0.1", "ts = 0.07"))
+        out = tmp_path / "out"
+        assert main(["verify-mc", "--config", str(p), "--out-dir", str(out)]) == 0
+        grid = Grid2D(0.0, 1.0, 20, 0.0, 1.0, 64, 0.02, 0.1)
+        fv = forecast_slice(StatParams(k_mean=2.0, k_std=0.2), ClosureSpec("random_constant_k"),
+                            PhysicsConfig(), grid, 0.8, 0.07)
+        rows = [r.split(",") for r in (out / "mc_compare.csv").read_text().splitlines()[1:]]
+        assert len(rows) == 3 * grid.u_nodes.size
+        for fam in ("normal", "lognormal", "uniform"):
+            got = [float(r[5]) for r in rows if r[0] == fam]
+            assert all(float(r[2]) == 0.07 for r in rows if r[0] == fam)
+            assert np.array_equal(got, fv.f_values), fam
+
 
 class TestFim:
     def test_matches_fisher_information(self, tmp_path):
@@ -241,6 +268,19 @@ class TestFim:
         fim = fisher_information(ClosureSpec("random_constant_k"),
                                  StatParams(k_mean=2.0, k_std=0.2), 0.5, 0.3,
                                  ["k_mean", "k_std"], PhysicsConfig(), grid, h_rel=1e-3)
+        rows = [r.split(",") for r in (out / "fim.csv").read_text().strip().splitlines()[1:]]
+        assert [(i, j) for i, j, _ in rows] == [(i, j) for i in fim.coords for j in fim.coords]
+        assert np.array_equal([float(g) for _, _, g in rows], fim.entries.reshape(-1))
+
+    def test_inputs_mode_matches_fisher_information(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["fim", "--mode", "inputs", "--config", str(EXACT_INI),
+                     "--out-dir", str(out)]) == 0
+        # the grid and prior of EXACT_INI, k_mean from its [truth]
+        grid = Grid2D(0.0, 1.0, 50, 0.0, 1.0, 128, 0.01, 0.6)
+        phi = StatParams(k_mean=1.0, mu0=0.4, sigma0=0.1, mub=0.5, sigmab=0.1)
+        fim = fisher_information(ClosureSpec("exact_deterministic_k"), phi, 0.5, 0.3,
+                                 ["mu0", "sigma0"], PhysicsConfig(), grid, h_rel=1e-3)
         rows = [r.split(",") for r in (out / "fim.csv").read_text().strip().splitlines()[1:]]
         assert [(i, j) for i, j, _ in rows] == [(i, j) for i in fim.coords for j in fim.coords]
         assert np.array_equal([float(g) for _, _, g in rows], fim.entries.reshape(-1))

@@ -85,7 +85,7 @@ class TestTStar:
 
 def closure_correction(spec, phi, ts):
     """Variance correction I(t*) at the memory horizons ts, at v = 1."""
-    return _closure_evaluator(spec, phi, ts, 1.0)(np.inf, ...)
+    return _closure_evaluator(spec, phi, 1.0)(np.asarray(ts, dtype=float))
 
 
 class TestClosureCorrection:
@@ -213,6 +213,23 @@ class TestClosureCoefficients:
         rel = 1e-12 if family == "exponential_k" else 1e-6
         assert d22(spec) == pytest.approx(expect, rel=rel)
         assert expect == pytest.approx(0.0050145, abs=1e-7)
+
+    @pytest.mark.parametrize("family,alpha", [("random_constant_k", 1.0),
+                                              ("exponential_k", 1.0 - 1.0 / 0.25)])
+    @pytest.mark.parametrize("x,t,U,ts", [
+        (0.1, 0.5, 0.5, 0.1),                     # x / v bounds t*
+        (0.8, 0.5, 0.9, np.log(1.0 / 0.9)),       # the log cap bounds t*
+        (np.array([0.1, 0.8]), 0.5, np.array([0.5, 0.9]),
+         np.array([0.1, np.log(1.0 / 0.9)])),     # both, broadcast
+    ], ids=["x-bound", "log-cap", "array"])
+    def test_horizon_below_t(self, family, alpha, x, t, U, ts):
+        # d22 = U^2 var (exp(alpha t*) - 1) / alpha with t* < t, on both sides
+        # of alpha = 0 (k = 1, lambda = 0.25 gives alpha = -3)
+        phi = StatParams(k_mean=1.0, k_std=0.2, k_corr_len=0.25)
+        co = closure_coefficients(ClosureSpec(family), phi, x=x, t=t, U=U)
+        expect = 0.04 * (np.exp(alpha * ts) - 1.0) / alpha * np.asarray(U) ** 2
+        assert co.d22 == pytest.approx(expect, rel=1e-12)
+        assert np.all(ts < t)
 
     def test_diffusion_nonnegative(self):
         U = np.linspace(0.0, 1.0, 65)
@@ -609,12 +626,12 @@ def _reference_solve(spec, phi, cfg, grid, deterministic_inputs):
     lag = ((xs[:n_in] - grid.x_min) / cfg.v)[:, None]
     U = us[None, :]
     travel = (xs[:, None] - grid.x_min) / cfg.v
-    corr_at = _closure_evaluator(spec, phi, t_star(U, travel, np.inf, phi.get("k_mean"),
-                                                   grid.u_max), cfg.v)
+    base = t_star(U, travel, np.inf, phi.get("k_mean"), grid.u_max)
+    corr = _closure_evaluator(spec, phi, cfg.v)
     snaps, warns = [F.copy()], []
     for step in range(n_steps):
         t_new = (step + 1) * dt
-        r, d22 = _drift_diffusion(spec, phi, corr_at(t_new, ...), U)
+        r, d22 = _drift_diffusion(spec, phi, corr(np.minimum(t_new, base)), U)
         G = np.empty_like(F)
         scale = np.exp(r[:n_in] * (dt - lag))
         scale[0] = 1.0
