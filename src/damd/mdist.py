@@ -27,12 +27,21 @@ solve, so its result is bit-identical to it.
 Both run `_advance` in blocks of steps, each at most n_x + 1 rows in all: a
 coefficient pass evaluates all that does not depend on F for every (step,
 row) pair of a block at once, and a transport loop then does per step only
-the x-shift, two gathers, one `dgtsv` call and the checks."""
+the x-shift, two gathers and one `dgtsv` call; the block's output is then
+checked once for non-finite values and once for monotonicity. The geometry
+of the steps and blocks depends on no closure parameter: `_plan` builds it
+once per (grid, v, t_end, cone node) and memoizes it, so the many forecasts
+of one datum in a fit share it. The memory horizon t* = min(t, travel, cap)
+splits the same way: min(t, travel) is in the plan, and the cap in U, the one
+parameter-dependent part, is one U-row per call."""
 
 from __future__ import annotations
 
 import dataclasses
+import functools
+import logging
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import ndtr
@@ -51,6 +60,8 @@ FAMILIES = (
 _ALPHA_LIMIT = 1e-10
 _EXP_CLIP = 700.0
 MONOTONE_WARN_TOL = 1e-6
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -294,20 +305,96 @@ class CdfSolution:
                 fh.write((prefix + prefix.join(tails)) % tuple(snap.ravel().tolist()))
 
 
-def _gtsv(dl, d, du, b):
-    """Solve a tridiagonal system by LAPACK `dgtsv` (Gaussian elimination with
-    partial pivoting) in the contiguous float vectors dl, d, du and b, which
-    gets the solution and is returned. Raises `np.linalg.LinAlgError` on an
-    exactly zero pivot."""
-    from scipy.linalg.lapack import dgtsv
-
-    *_, x, info = dgtsv(dl, d, du, b, overwrite_dl=1, overwrite_d=1,
-                        overwrite_du=1, overwrite_b=1)
+def _gtsv(dgtsv, dl, d, du, b):
+    """Solve a tridiagonal system by the LAPACK routine `dgtsv` (Gaussian
+    elimination with partial pivoting, bound once by the caller) in the
+    contiguous float vectors dl, d, du and b, which gets the solution and is
+    returned. Raises `np.linalg.LinAlgError` on an exactly zero pivot."""
+    *_, x, info = dgtsv(dl, d, du, b, 1, 1, 1, 1)  # overwrite dl, d, du and b
     if info > 0:
         raise np.linalg.LinAlgError(f"singular tridiagonal system: zero pivot {info}")
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of dgtsv")
     return x
+
+
+class _Plan(NamedTuple):
+    """The geometry of `_advance`: everything that depends on the grid, the
+    speed v, the end time and the cone's node, and on no closure parameter."""
+
+    n_steps: int
+    dt: float
+    shift: int       # node i reads nodes i - shift and, if theta > 0, i - shift - 1
+    theta: float     # the fractional part of c = v dt / dx
+    n_in: int        # rows fed by the inflow
+    lag: np.ndarray  # (n_in, 1): how long ago their characteristics crossed x_min
+    top: int         # the highest row advanced
+    blocks: tuple    # (steps, local, horizon) per block, steps (lo, hi, a, b, t)
+
+
+def _frozen(a) -> np.ndarray:
+    a = np.asarray(a)
+    a.setflags(write=False)
+    return a
+
+
+@functools.lru_cache(maxsize=128)
+def _plan(grid: Grid2D, v: float, t_end: float, node: int | None) -> _Plan:
+    """The step plan of `_advance` up to t_end: the whole field when node is
+    None, else the backward characteristic cone of x-node `node`. Memoized,
+    so the forecasts of one datum build it once; its arrays are read-only.
+
+    Each step s advances rows [lo, hi) into rows [a, b) of its block's
+    output. A block is the longest run of steps that advances at most
+    n_x + 1 rows in all; `local` gives each of its (step, row) pairs the row's
+    place within its step, and `horizon` min(t, travel) the memory horizon
+    before its cap in U (see `t_star`)."""
+    n_steps = max(1, int(round(t_end / grid.dt)))
+    dt = t_end / n_steps
+    xs = grid.x_nodes
+
+    # x-departure point x_i - v dt = x_{i - c}; snap c to an integer when it
+    # is one up to rounding, so that the shift is exact
+    c = v * dt / grid.dx
+    if abs(c - round(c)) <= 1e-9 * max(1.0, c):
+        c = float(round(c))
+    shift = int(np.floor(c))
+    theta = c - shift
+    reach = shift + (theta > 0.0)  # node i reads nodes i - reach .. i - shift
+    n_in = min(reach, grid.n_x + 1)
+    lag = ((xs[:n_in] - grid.x_min) / v)[:, None]
+
+    # rows [lo, hi) that each step advances; none above top
+    if node is None:
+        top = grid.n_x
+        lo, hi = [0] * n_steps, [grid.n_x + 1] * n_steps
+    else:
+        top = node
+        left = np.arange(n_steps - 1, -1, -1)  # steps after each one
+        lo = np.maximum(top - reach * left, 0).tolist()
+        hi = np.maximum(top + 1 - shift * left, 0).tolist()
+    counts = [h - l for l, h in zip(lo, hi)]
+    travel = (xs[:top + 1, None] - grid.x_min) / v  # from the inflow at x_min
+
+    blocks = []
+    s0 = 0
+    while s0 < n_steps:  # the last step of a block advances row top, so size > 0
+        s1, size = s0, 0
+        while s1 < n_steps and size + counts[s1] <= grid.n_x + 1:
+            size += counts[s1]
+            s1 += 1
+        t_new = [(s + 1) * dt for s in range(s0, s1)]
+        n = counts[s0:s1]
+        if s1 == s0 + 1:  # one step: its rows as a slice
+            rows, t_col, local = slice(lo[s0], hi[s0]), t_new[0], np.arange(size)
+        else:
+            local = np.arange(size) - np.repeat(np.cumsum(n) - n, n)
+            rows, t_col = np.repeat(lo[s0:s1], n) + local, np.repeat(t_new, n)[:, None]
+        ends = np.cumsum(n).tolist()
+        steps = tuple(zip(lo[s0:s1], hi[s0:s1], [0] + ends[:-1], ends, t_new))
+        blocks.append((steps, _frozen(local), _frozen(np.minimum(t_col, travel[rows]))))
+        s0 = s1
+    return _Plan(n_steps, dt, shift, theta, n_in, _frozen(lag), top, tuple(blocks))
 
 
 def solve_cdf_fv(spec: ClosureSpec, phi: StatParams, cfg: PhysicsConfig,
@@ -355,17 +442,23 @@ def _advance(spec: ClosureSpec, phi: StatParams, cfg: PhysicsConfig,
     floor(c), reach = shift + [c fractional] and c = v dt / dx, clipped at
     row 0 and empty while the characteristic of ix is still upstream of
     x_min. Each row read by a row of the cone is in the cone one step
-    earlier, so row ix at t_end equals the full-field solve's; rows outside
-    the cone keep stale values and only slice_at(cone_x, t_end) is valid.
-    Every row that is computed gets the same checks as in the full field.
+    earlier, so row ix at t_end equals the full-field solve's; F holds rows
+    0..ix only, and only slice_at(cone_x, t_end) is valid. Every row that is
+    computed gets the same checks as in the full field.
 
-    The steps run in blocks, each the longest run that advances at most n_x + 1
-    rows in all: a coefficient pass evaluates what does not depend on F for all
-    (step, row) pairs of a block, then a transport loop advances its steps.
+    The steps run in the blocks of `_plan`, memoized per (grid, v, t_end,
+    node ix), so repeated forecasts of one node only look it up: a coefficient
+    pass evaluates what does not depend on F for all (step, row) pairs of a
+    block, then a transport loop advances its steps. The block's output is
+    checked once for non-finite values, which raises at its first non-finite
+    step as a check after every step would, and once for monotonicity, which
+    reports each violating step in order.
     """
-    n_steps = max(1, int(round(t_end / grid.dt)))
-    dt = t_end / n_steps
-    xs, us = grid.x_nodes, grid.u_nodes
+    from scipy.linalg.lapack import dgtsv  # here, not at import: it takes about 0.1 s
+
+    us = grid.u_nodes
+    p = _plan(grid, cfg.v, t_end, None if cone_x is None else _nearest_node(grid.x_nodes, cone_x))
+    dt, shift, theta, n_in, lag = p.dt, p.shift, p.theta, p.n_in, p.lag
     du, width = grid.du, us.size
 
     f0, fb = initial_boundary_cdfs(phi, resolve_deterministic_inputs(spec, deterministic_inputs),
@@ -377,55 +470,19 @@ def _advance(spec: ClosureSpec, phi: StatParams, cfg: PhysicsConfig,
         rows[:, 0], rows[:, -1] = 0.0, 1.0
         return rows
 
-    F = np.tile(f0(us), (grid.n_x + 1, 1))
+    F = np.tile(f0(us), (p.top + 1, 1))
     F[:, 0], F[:, -1] = 0.0, 1.0
     F[0] = inflow(0.0)[0]
-
-    # x-departure point x_i - v dt = x_{i - c}; snap c to an integer when it
-    # is one up to rounding, so that the shift is exact
-    c = cfg.v * dt / grid.dx
-    if abs(c - round(c)) <= 1e-9 * max(1.0, c):
-        c = float(round(c))
-    shift = int(np.floor(c))
-    theta = c - shift
-    reach = shift + (theta > 0.0)  # node i reads nodes i - reach .. i - shift
-    n_in = min(reach, grid.n_x + 1)  # nodes fed by the inflow
-    lag = ((xs[:n_in] - grid.x_min) / cfg.v)[:, None]
-
-    # rows [lo, hi) that each step advances; none above top
-    if cone_x is None:
-        top = grid.n_x
-        lo, hi = [0] * n_steps, [grid.n_x + 1] * n_steps
-    else:
-        top = _nearest_node(xs, cone_x)
-        left = np.arange(n_steps - 1, -1, -1)  # steps after each one
-        lo = np.maximum(top - reach * left, 0).tolist()
-        hi = np.maximum(top + 1 - shift * left, 0).tolist()
-    counts = [h - l for l, h in zip(lo, hi)]
 
     snaps = [F.copy()] if store == "all" else None
     warnings: list = []
     U = us[None, :]
-    travel = (xs[:top + 1, None] - grid.x_min) / cfg.v  # from the inflow at x_min
-    base = t_star(U, travel, np.inf, phi.get("k_mean"), grid.u_max)  # t* = min(t, base)
+    cap = t_star(U, np.inf, np.inf, phi.get("k_mean"), grid.u_max)  # t* = min(horizon, cap)
     corr = _closure_evaluator(spec, phi, cfg.v)
 
-    s0 = 0
-    while s0 < n_steps:  # the last step of a block advances row top, so size > 0
-        s1, size = s0, 0
-        while s1 < n_steps and size + counts[s1] <= grid.n_x + 1:
-            size += counts[s1]
-            s1 += 1
-        t_new = [(s + 1) * dt for s in range(s0, s1)]
-
+    for steps, local, horizon in p.blocks:
         # coefficient pass over the (step, row) pairs of the block
-        if s1 == s0 + 1:  # one step: its rows as a slice
-            rows, t_col, local = slice(lo[s0], hi[s0]), t_new[0], np.arange(size)
-        else:
-            n = counts[s0:s1]
-            local = np.arange(size) - np.repeat(np.cumsum(n) - n, n)
-            rows, t_col = np.repeat(lo[s0:s1], n) + local, np.repeat(t_new, n)[:, None]
-        r, d22 = _drift_diffusion(spec, phi, corr(np.minimum(t_col, base[rows])), U)
+        r, d22 = _drift_diffusion(spec, phi, corr(np.minimum(horizon, cap)), U)
         # drift departure points, read between nodes j and j + 1 (the ends
         # outside [U_min, U_max]) of the step's source rows, flattened
         pos = np.clip((U * np.exp(-r * dt) - grid.u_min) / du, 0.0, grid.n_u)
@@ -443,12 +500,10 @@ def _advance(spec: ClosureSpec, phi: StatParams, cfg: PhysicsConfig,
         sup[:, 0] = sub[:, -1] = sup[:, -1] = 0.0
         diag[:, 0] = diag[:, -1] = 1.0
         dl, d, dh = sub.reshape(-1)[1:], diag.reshape(-1), sup.reshape(-1)[:-1]
-        out = np.empty((size, width))
+        out = np.empty((len(local), width))
 
         # transport loop
-        a = 0
-        for s, t in zip(range(s0, s1), t_new):
-            l, h, b = lo[s], hi[s], a + counts[s]
+        for l, h, a, b, t in steps:
             if l < h:
                 if l >= n_in and theta == 0.0:  # the step reads rows of F as they are
                     flat = F.reshape(-1)[(l - shift) * width:]
@@ -478,27 +533,25 @@ def _advance(spec: ClosureSpec, phi: StatParams, cfg: PhysicsConfig,
                 Fs = np.add(f_lo, f_hi, out=out[a:b])
                 Fs[:, 0], Fs[:, -1] = 0.0, 1.0
                 # with d22 = 0 (the exact closure) the bands are the identity
-                _gtsv(dl[a * width:b * width - 1], d[a * width:b * width],
+                _gtsv(dgtsv, dl[a * width:b * width - 1], d[a * width:b * width],
                       dh[a * width:b * width - 1], Fs.reshape(-1))
                 Fs[:, 0], Fs[:, -1] = 0.0, 1.0
-                if not np.all(np.isfinite(Fs)):
-                    raise ArithmeticError(f"non-finite CDF values at t = {t:g}")
-                if l == 0:
+                if l == 0:  # t* = 0 on row 0, so I = 0: its solve was finite as well
                     Fs[0] = G[0]
                 F[l:h] = Fs
             if store == "all":
                 snaps.append(F.copy())
-            a = b
 
+        if not np.isfinite(out).all():  # find the first step that went non-finite
+            t = next(t for *_, a, b, t in steps if not np.isfinite(out[a:b]).all())
+            raise ArithmeticError(f"non-finite CDF values at t = {t:g}")
         diffs = np.diff(out, axis=1)
         if diffs.min() < -MONOTONE_WARN_TOL:  # find the steps, in order
-            ends = np.cumsum(counts[s0:s1])
-            for t, a, b in zip(t_new, ends - counts[s0:s1], ends):
+            for *_, a, b, t in steps:
                 if (m := float(diffs[a:b].min(initial=np.inf))) < -MONOTONE_WARN_TOL:
                     warnings.append(f"monotonicity violation {m:.3e} at t = {t:.6g}")
-        s0 = s1
 
-    times = np.arange(n_steps + 1) * dt
+    times = np.arange(p.n_steps + 1) * dt
     if store == "all":
         return CdfSolution(grid, times, np.stack(snaps), warnings)
     return CdfSolution(grid, times[-1:], F[None], warnings)
@@ -532,12 +585,15 @@ def forecast_slice(phi: StatParams, spec: ClosureSpec, cfg: PhysicsConfig,
     followed by `slice_at(x, t)`.
 
     The grid solve advances only the backward characteristic cone of that
-    node (see the module docstring). The exact closure is evaluated by
+    node (see the module docstring), and each of its warnings is logged as a
+    warning of this module's logger. The exact closure is evaluated by
     characteristics from x_min instead.
     """
     if spec.family == "exact_deterministic_k":
         return solve_cdf_characteristics(
             phi.get("k_mean"), phi, cfg, x - grid.x_min, t, grid.u_nodes,
             resolve_deterministic_inputs(spec, deterministic_inputs))
-    return _advance(spec, phi, cfg, grid, t, deterministic_inputs, "last",
-                    cone_x=x).slice_at(x, t)
+    sol = _advance(spec, phi, cfg, grid, t, deterministic_inputs, "last", cone_x=x)
+    for message in sol.warnings:
+        _log.warning("forecast_slice at x = %g: %s", x, message)
+    return sol.slice_at(x, t)

@@ -258,6 +258,23 @@ class TestVerifyMc:
             assert all(float(r[2]) == 0.07 for r in rows if r[0] == fam)
             assert np.array_equal(got, fv.f_values), fam
 
+    def test_off_grid_x_compared_at_its_node(self, tmp_path, capsys):
+        # x = 0.13 lies between the nodes 0.1 and 0.15 of dx = 0.05, and
+        # forecast_slice reads node 0.15; at t = 0.3 the exact law differs
+        # between the two x, so the Monte Carlo law must be drawn at the node
+        node = float(Grid2D(0.0, 1.0, 20, 0.0, 1.0, 64, 0.02, 0.1).x_nodes[3])
+        outs = []
+        for x in ("0.13", repr(node)):
+            text = MC_INI.replace("xs = 0.8", f"xs = {x}").replace("ts = 0.1", "ts = 0.3")
+            outs.append(tmp_path / x)
+            assert main(["verify-mc", "--config", str(write(tmp_path, f"{x}.ini", text)),
+                         "--out-dir", str(outs[-1])]) == 0
+        for name in ("mc_compare.csv", "mc_summary.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+        rows = [r.split(",") for r in (outs[0] / "mc_summary.csv").read_text().splitlines()[1:]]
+        assert len(rows) == 3 and all(float(r[1]) == node for r in rows)
+        assert "x=0.13" not in capsys.readouterr().out
+
 
 class TestFim:
     def test_matches_fisher_information(self, tmp_path):

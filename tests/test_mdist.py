@@ -1,5 +1,7 @@
 import csv
 import io
+import logging
+import re
 import warnings
 
 import numpy as np
@@ -10,9 +12,10 @@ from damd import (ClosureSpec, ContractError, Grid2D, PhysicsConfig, StatParams,
                   closure_coefficients, cramer_distance, forecast_slice,
                   initial_boundary_cdfs, solve_cdf_characteristics, solve_cdf_fv,
                   t_star)
-from damd.mdist import _closure_evaluator, _gtsv
+from damd.mdist import _advance, _closure_evaluator, _gtsv, _plan
 from damd.core import empirical_cdf
 from damd.physics import forcing, make_rng
+from scipy.linalg.lapack import dgtsv
 from scipy.special import ndtri
 
 PHI = StatParams(k_mean=1.0, k_std=0.2, k_corr_len=0.3,
@@ -271,7 +274,7 @@ def _thomas(sub, diag, sup, rhs):
     dl, du = sub.reshape(-1)[1:].copy(), sup.reshape(-1)[:-1].copy()
     dl[n - 1::n] = du[n - 1::n] = 0.0  # no coupling between neighbouring systems
     x = np.array(rhs, dtype=float)
-    _gtsv(dl, diag.reshape(-1).copy(), du, x.reshape(-1))
+    _gtsv(dgtsv, dl, diag.reshape(-1).copy(), du, x.reshape(-1))
     return x
 
 
@@ -316,7 +319,7 @@ class TestThomas:
     def test_solves_in_place(self):
         # the transport loop leaves each step's rows where `_gtsv` wrote them
         out = np.ones((3, 8))
-        x = _gtsv(np.full(7, -0.1), np.full(8, 1.5), np.full(7, -0.1), out[1])
+        x = _gtsv(dgtsv, np.full(7, -0.1), np.full(8, 1.5), np.full(7, -0.1), out[1])
         assert np.shares_memory(x, out) and np.array_equal(out[1], x)
 
 
@@ -585,8 +588,6 @@ def _reference_solve(spec, phi, cfg, grid, deterministic_inputs):
     """The grid solve as a plain loop over steps, each step assembling its
     own closure, interpolation and tridiagonal system on all rows:
     (snapshots, warnings) as `solve_cdf_fv(..., store="all")` returns them."""
-    from scipy.linalg.lapack import dgtsv
-
     from damd.mdist import MONOTONE_WARN_TOL, _drift_diffusion, resolve_deterministic_inputs
 
     n_steps = max(1, int(round(grid.t_end / grid.dt)))
@@ -655,7 +656,8 @@ def _reference_solve(spec, phi, cfg, grid, deterministic_inputs):
             Fs[:, 0], Fs[:, -1] = 0.0, 1.0
             Fs = solve_rows(sub, diag, sup, Fs)
         Fs[:, 0], Fs[:, -1] = 0.0, 1.0
-        assert np.all(np.isfinite(Fs))
+        if not np.all(np.isfinite(Fs)):
+            raise ArithmeticError(f"non-finite CDF values at t = {t_new:g}")
         Fs[0] = G[0]
         min_diff = float(np.min(np.diff(Fs, axis=1)))
         if min_diff < -MONOTONE_WARN_TOL:
@@ -710,3 +712,64 @@ class TestTransportOracle:
             _, warns = _reference_solve(spec, PHI, PhysicsConfig(), grid, False)
             sol = solve_cdf_fv(spec, PHI, PhysicsConfig(), grid, deterministic_inputs=False)
             assert warns and sol.warnings == warns, spec
+
+    def test_forecast_slice_logs_the_cone_warnings(self, caplog):
+        grid = self.GRIDS[-1]  # v dt / dx = 2
+        caplog.set_level(logging.WARNING, logger="damd.mdist")
+        logged = 0
+        for spec in self.SPECS[-2:]:
+            for x, t in ((0.8, 0.6), (0.35, 0.6)):
+                caplog.clear()
+                forecast_slice(PHI, spec, PhysicsConfig(), grid, x, t, deterministic_inputs=False)
+                warns = _advance(spec, PHI, PhysicsConfig(), grid, t, False, "last",
+                                 cone_x=x).warnings
+                assert [r.getMessage() for r in caplog.records] == \
+                    [f"forecast_slice at x = {x:g}: {w}" for w in warns], (spec, x)
+                logged += len(warns)
+        assert logged > 0  # so the equalities above are not all of empty lists
+        caplog.clear()
+        forecast_slice(PHI, ClosureSpec("exponential_k"), PhysicsConfig(), grid, 0.8, 0.6)
+        assert caplog.records == []
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf, 0 * inf
+    def test_non_finite_values_raise_at_the_step_loops_step(self):
+        # C(h) = inf beyond h = 0.15: I(t*) is infinite once t* passes it, the
+        # appendix drift and the diffusion then give non-finite values (a NaN
+        # covariance would make the drift's departure points NaN instead)
+        spec = ClosureSpec("general_quadrature", quad_points=10,
+                           cov_fn=lambda h: np.where(h > 0.15, np.inf, 0.04 * np.exp(-h)))
+        grid = self.GRIDS[-1]  # v dt / dx = 2: the cone at (0.8, 0.6) is one block of 6 steps
+        with pytest.raises(ArithmeticError) as ref:
+            _reference_solve(spec, PHI, PhysicsConfig(), grid, False)
+        message = re.escape(str(ref.value))
+        assert str(ref.value) == "non-finite CDF values at t = 0.2"  # the block's second step
+        with pytest.raises(ArithmeticError, match=message):
+            solve_cdf_fv(spec, PHI, PhysicsConfig(), grid, deterministic_inputs=False)
+        for x in (0.8, 1.0):
+            with pytest.raises(ArithmeticError, match=message):
+                forecast_slice(PHI, spec, PhysicsConfig(), grid, x, 0.6, deterministic_inputs=False)
+
+
+class TestConePlan:
+    """The cone geometry is memoized per (grid, v, t_end, node); forecasts that
+    share it under other parameters must not see each other's state."""
+
+    GRID = Grid2D(0.0, 1.0, 20, 0.0, 1.0, 24, 0.075, 0.6)  # v dt / dx = 1.5
+
+    def test_interleaved_forecasts_equal_full_field(self):
+        spec = ClosureSpec("exponential_k")
+        phis = [PHI, PHI.replace(k_mean=-0.5), PHI.replace(k_std=0.05, k_corr_len=0.1)]
+        _plan.cache_clear()
+        for phi in phis:
+            for x, t in ((0.8, 0.6), (0.35, 0.3), (1.0, 0.45), (0.8, 0.3)):
+                got = forecast_slice(phi, spec, PhysicsConfig(), self.GRID, x, t)
+                full = solve_cdf_fv(spec, phi, PhysicsConfig(), self.GRID, t_end=t, store="last")
+                assert np.array_equal(got.f_values, full.slice_at(x, t).f_values), (phi, x, t)
+        assert _plan.cache_info().hits >= 2 * 7  # the second and third phi reuse every plan
+
+    def test_plan_arrays_are_read_only(self):
+        plan = _plan(self.GRID, 1.0, 0.6, 16)
+        assert len(plan.blocks) == 2
+        for a in [plan.lag] + [a for _, local, horizon in plan.blocks for a in (local, horizon)]:
+            with pytest.raises(ValueError):
+                a.reshape(-1)[0] = 0
