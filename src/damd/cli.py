@@ -266,7 +266,7 @@ def cmd_verify_mc(cfg, out_dir: Path) -> int:
         fv = forecast_slice(phi, spec, phys, grid, x, t)
         # the slice is the nearest x-node's: compare and label at that node,
         # unless x is that node up to rounding
-        node = float(grid.x_nodes[np.argmin(np.abs(grid.x_nodes - x))])
+        node = float(grid.x_nodes[grid.nearest_x_node(x)])
         if abs(node - x) > 1e-9 * grid.dx:
             x = node
         # the exact state under a constant rate k, as in analytic_state: the

@@ -62,6 +62,10 @@ class Grid2D:
     def x_nodes(self) -> np.ndarray:
         return np.linspace(self.x_min, self.x_max, self.n_x + 1)
 
+    def nearest_x_node(self, x: float) -> int:
+        """Index of the x-node nearest x: the node a forecast at x reads."""
+        return int(np.argmin(np.abs(self.x_nodes - x)))
+
     @property
     def x_cells(self) -> np.ndarray:
         """Centres of the n_x cells of width dx between the x-nodes, where a

@@ -265,10 +265,6 @@ def initial_boundary_cdfs(phi: StatParams, deterministic_inputs: bool,
     return f0, fb
 
 
-def _nearest_node(nodes, value) -> int:
-    return int(np.argmin(np.abs(nodes - value)))
-
-
 @dataclass
 class CdfSolution:
     grid: Grid2D
@@ -278,8 +274,8 @@ class CdfSolution:
 
     def slice_at(self, x: float, t: float) -> DiscreteCdf:
         """Nearest-node U-slice as a validated CDF."""
-        it = _nearest_node(self.times, t)
-        ix = _nearest_node(self.grid.x_nodes, x)
+        it = int(np.argmin(np.abs(self.times - t)))
+        ix = self.grid.nearest_x_node(x)
         vals = np.maximum.accumulate(np.clip(self.snapshots[it, ix], 0.0, 1.0))
         vals[0], vals[-1] = 0.0, 1.0
         return DiscreteCdf(self.grid.u_nodes, vals)
@@ -385,11 +381,8 @@ def _plan(grid: Grid2D, v: float, t_end: float, node: int | None) -> _Plan:
             s1 += 1
         t_new = [(s + 1) * dt for s in range(s0, s1)]
         n = counts[s0:s1]
-        if s1 == s0 + 1:  # one step: its rows as a slice
-            rows, t_col, local = slice(lo[s0], hi[s0]), t_new[0], np.arange(size)
-        else:
-            local = np.arange(size) - np.repeat(np.cumsum(n) - n, n)
-            rows, t_col = np.repeat(lo[s0:s1], n) + local, np.repeat(t_new, n)[:, None]
+        local = np.arange(size) - np.repeat(np.cumsum(n) - n, n)
+        rows, t_col = np.repeat(lo[s0:s1], n) + local, np.repeat(t_new, n)[:, None]
         ends = np.cumsum(n).tolist()
         steps = tuple(zip(lo[s0:s1], hi[s0:s1], [0] + ends[:-1], ends, t_new))
         blocks.append((steps, _frozen(local), _frozen(np.minimum(t_col, travel[rows]))))
@@ -457,7 +450,7 @@ def _advance(spec: ClosureSpec, phi: StatParams, cfg: PhysicsConfig,
     from scipy.linalg.lapack import dgtsv  # here, not at import: it takes about 0.1 s
 
     us = grid.u_nodes
-    p = _plan(grid, cfg.v, t_end, None if cone_x is None else _nearest_node(grid.x_nodes, cone_x))
+    p = _plan(grid, cfg.v, t_end, None if cone_x is None else grid.nearest_x_node(cone_x))
     dt, shift, theta, n_in, lag = p.dt, p.shift, p.theta, p.n_in, p.lag
     du, width = grid.du, us.size
 

@@ -32,6 +32,11 @@ class TestGrid2D:
         assert g.n_steps == 60
         assert g.times[-1] == pytest.approx(0.6)
 
+    def test_nearest_x_node(self):
+        g = Grid2D(0.5, 1.5, 20, 0.0, 1.0, 10, 0.01, 0.1)
+        assert [g.nearest_x_node(x) for x in (0.5, 0.63, 0.66, 1.5)] == [0, 3, 3, 20]
+        assert [g.nearest_x_node(x) for x in (-1.0, 9.0)] == [0, 20]
+
     def test_rejects_bad_bounds(self):
         with pytest.raises(ContractError):
             Grid2D(1.0, 0.0, 10, 0.0, 1.0, 10, 0.01, 0.1)
