@@ -191,7 +191,8 @@ def damd_assimilate(measurements: MeasurementSet, phi0: StatParams,
                     coords=None) -> AssimilationTrace:
     """Sequentially condition the closure parameters on each measurement:
     forecast a prior slice, Bayes-update it into a target CDF, then fit phi
-    to the target by distance minimization."""
+    to the target by distance minimization. The fit's first vertex is phi
+    itself, whose loss reads the prior slice rather than forecasting it again."""
     phi = phi0
     steps = []
     for idx, m in enumerate(measurements):
@@ -201,6 +202,8 @@ def damd_assimilate(measurements: MeasurementSet, phi0: StatParams,
         active = coords if coords is not None else _default_coords(spec, m, cfg.v)
 
         def objective(p):
+            if p == phi:
+                return cramer_distance(target, prior_slice)
             return damd_loss(p, spec, cfg, grid, m, target,
                              deterministic_inputs=deterministic_inputs)
 

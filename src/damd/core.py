@@ -4,6 +4,7 @@ shared by all modules."""
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,11 +24,19 @@ class DegenerateInputError(ValueError):
     """The input carries no usable information (zero mass, identical samples...)."""
 
 
+def read_only(a) -> np.ndarray:
+    """a as an array that cannot be written through, for values that are
+    built once and then shared."""
+    a = np.asarray(a)
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True)
 class Grid2D:
     """Tensor-product discretization of physical coordinate x, state coordinate U
     and the time axis.  Nodes include both endpoints, so spacing is
-    (max - min) / n."""
+    (max - min) / n; the node arrays are built once per grid and read-only."""
 
     x_min: float
     x_max: float
@@ -58,9 +67,9 @@ class Grid2D:
     def du(self) -> float:
         return (self.u_max - self.u_min) / self.n_u
 
-    @property
+    @functools.cached_property
     def x_nodes(self) -> np.ndarray:
-        return np.linspace(self.x_min, self.x_max, self.n_x + 1)
+        return read_only(np.linspace(self.x_min, self.x_max, self.n_x + 1))
 
     def nearest_x_node(self, x: float) -> int:
         """Index of the x-node nearest x: the node a forecast at x reads."""
@@ -72,9 +81,9 @@ class Grid2D:
         rate field takes its values."""
         return self.x_min + (np.arange(self.n_x) + 0.5) * self.dx
 
-    @property
+    @functools.cached_property
     def u_nodes(self) -> np.ndarray:
-        return np.linspace(self.u_min, self.u_max, self.n_u + 1)
+        return read_only(np.linspace(self.u_min, self.u_max, self.n_u + 1))
 
     @property
     def n_steps(self) -> int:

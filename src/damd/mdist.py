@@ -22,18 +22,25 @@ the U-slice at one node after n steps depends only on its backward
 characteristic cone, rows i - (floor(c) + [c fractional]) m .. i - floor(c) m
 at m steps before the end (clipped at x_min). `forecast_slice` advances
 just those rows, with the same arithmetic on each row as the full-field
-solve, so its result is bit-identical to it.
+solve, so its result is bit-identical to it. By the same argument a
+`store="last"` solve advances only the union of the cones of every node,
+rows 0 .. n_x - floor(c) m (8 520 of the 12 060 row-steps on the paper grid).
 
-Both run `_advance` in blocks of steps, each at most n_x + 1 rows in all: a
-coefficient pass evaluates all that does not depend on F for every (step,
-row) pair of a block at once, and a transport loop then does per step only
-the x-shift, two gathers and one `dgtsv` call; the block's output is then
+Both run `_advance` in blocks of steps, each at most n_x + 1 rows in all. The
+memory horizon t* = min(t, travel, cap) splits: min(t, travel) depends on the
+(step, row) pair alone and takes few distinct values (121 over the 60 steps
+of the paper grid), and the cap <k>^-1 ln(u_max / U) on a U-row. So blocks
+are grouped into runs of at most n_x + 1 distinct horizons, and a
+coefficient pass evaluates all that does not depend on F - the closure, the
+drift departure points and the diffusion bands - once per distinct horizon
+of a run; each block gathers its pairs from that table, unless every pair
+has its own horizon, and a transport loop then does per step only the
+x-shift, two gathers and one `dgtsv` call. The block's output is then
 checked once for non-finite values and once for monotonicity. The geometry
-of the steps and blocks depends on no closure parameter: `_plan` builds it
-once per (grid, v, t_end, cone node) and memoizes it, so the many forecasts
-of one datum in a fit share it. The memory horizon t* = min(t, travel, cap)
-splits the same way: min(t, travel) is in the plan, and the cap in U, the one
-parameter-dependent part, is one U-row per call."""
+of steps, blocks, runs and horizons depends on no closure parameter: `_plan`
+builds it once per (grid, v, t_end, nodes wanted) and memoizes it, with the
+U-row ln(u_max / U), so the many forecasts of one datum share it and the cap
+is one division by <k> per call."""
 
 from __future__ import annotations
 
@@ -46,7 +53,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import ndtr
 
-from .core import ContractError, DiscreteCdf, Grid2D
+from .core import ContractError, DiscreteCdf, Grid2D, read_only
 from .physics import PhysicsConfig, characteristic_origin, forcing
 
 FAMILIES = (
@@ -141,16 +148,25 @@ def t_star(U, x, t, k_mean, u_max):
     The log term diverges as U -> 0 and is skipped when <k> <= 0, where the
     corresponding backward characteristic never exits through U = u_max.
     """
-    U = np.asarray(U, dtype=float)
     base = np.minimum(np.asarray(t, dtype=float), np.asarray(x, dtype=float))
-    if k_mean > _ALPHA_LIMIT:
-        with np.errstate(divide="ignore"):
-            log_cap = np.where(U > 0, np.log(np.maximum(u_max, 1e-300) / np.where(U > 0, U, 1.0)) / k_mean, np.inf)
-        out = np.minimum(base, log_cap)
-    else:
-        out = base * np.ones_like(U)
-    out = np.maximum(out, 0.0)
+    out = np.maximum(np.minimum(base, _cap(_log_ratio(U, u_max), k_mean)), 0.0)
     return float(out) if out.ndim == 0 else out
+
+
+def _log_ratio(U, u_max):
+    """ln(u_max / U) where U > 0, else +inf: <k> times the cap of `t_star`,
+    which depends on the U-grid alone."""
+    U = np.asarray(U, dtype=float)
+    with np.errstate(divide="ignore"):
+        return np.where(U > 0, np.log(np.maximum(u_max, 1e-300) / np.where(U > 0, U, 1.0)), np.inf)
+
+
+def _cap(log_ratio, k_mean):
+    """The cap <k>^-1 ln(u_max / U) of `t_star` from `_log_ratio`; +inf,
+    that is no cap, when <k> <= 0."""
+    if k_mean > _ALPHA_LIMIT:
+        return log_ratio / k_mean
+    return np.full_like(log_ratio, np.inf)
 
 
 def _closure_evaluator(spec: ClosureSpec, phi: StatParams, v: float):
@@ -301,22 +317,18 @@ class CdfSolution:
                 fh.write((prefix + prefix.join(tails)) % tuple(snap.ravel().tolist()))
 
 
-def _gtsv(dgtsv, dl, d, du, b):
-    """Solve a tridiagonal system by the LAPACK routine `dgtsv` (Gaussian
-    elimination with partial pivoting, bound once by the caller) in the
-    contiguous float vectors dl, d, du and b, which gets the solution and is
-    returned. Raises `np.linalg.LinAlgError` on an exactly zero pivot."""
-    *_, x, info = dgtsv(dl, d, du, b, 1, 1, 1, 1)  # overwrite dl, d, du and b
+def _lapack_error(info: int) -> Exception:
+    """The error for a nonzero `info` of LAPACK's tridiagonal solver `dgtsv`
+    (Gaussian elimination with partial pivoting): `np.linalg.LinAlgError` on
+    an exactly zero pivot, ValueError on an illegal argument."""
     if info > 0:
-        raise np.linalg.LinAlgError(f"singular tridiagonal system: zero pivot {info}")
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of dgtsv")
-    return x
+        return np.linalg.LinAlgError(f"singular tridiagonal system: zero pivot {info}")
+    return ValueError(f"illegal value in argument {-info} of dgtsv")
 
 
 class _Plan(NamedTuple):
     """The geometry of `_advance`: everything that depends on the grid, the
-    speed v, the end time and the cone's node, and on no closure parameter."""
+    speed v, the end time and the nodes wanted, and on no closure parameter."""
 
     n_steps: int
     dt: float
@@ -325,29 +337,33 @@ class _Plan(NamedTuple):
     n_in: int        # rows fed by the inflow
     lag: np.ndarray  # (n_in, 1): how long ago their characteristics crossed x_min
     top: int         # the highest row advanced
-    blocks: tuple    # (steps, local, horizon) per block, steps (lo, hi, a, b, t)
-
-
-def _frozen(a) -> np.ndarray:
-    a = np.asarray(a)
-    a.setflags(write=False)
-    return a
+    log_ratio: np.ndarray  # (1, n_u + 1): ln(u_max / U), see `_cap`
+    size: int        # the most (step, row) pairs that a block gathers
+    runs: tuple      # (horizons, blocks) per run, blocks (steps, offset, index),
+    #                  steps (lo, hi, a, b, t)
 
 
 @functools.lru_cache(maxsize=128)
-def _plan(grid: Grid2D, v: float, t_end: float, node: int | None) -> _Plan:
-    """The step plan of `_advance` up to t_end: the whole field when node is
-    None, else the backward characteristic cone of x-node `node`. Memoized,
-    so the forecasts of one datum build it once; its arrays are read-only.
+def _plan(grid: Grid2D, v: float, t_end: float, nodes: tuple | None) -> _Plan:
+    """The step plan of `_advance` up to t_end: every row at every step when
+    nodes is None, else the union of the backward characteristic cones of the
+    x-nodes nodes[0]..nodes[1] at t_end. Memoized, so the forecasts of one
+    datum build it once; its arrays are read-only.
 
     Each step s advances rows [lo, hi) into rows [a, b) of its block's
     output. A block is the longest run of steps that advances at most
-    n_x + 1 rows in all; `local` gives each of its (step, row) pairs the row's
-    place within its step, and `horizon` min(t, travel) the memory horizon
-    before its cap in U (see `t_star`)."""
+    n_x + 1 rows in all, and `offset` gives each of its (step, row) pairs the
+    flat offset of the row within its step's source rows.
+
+    The memory horizon of a pair before its cap in U (see `t_star`) is
+    min(t, travel), and many pairs share one. So the blocks are grouped into
+    runs, each the longest that has at most n_x + 1 distinct horizons; a run
+    keeps them as a column, `horizons`, and each block the index of each of
+    its pairs in that column. A run of one block whose pairs all differ keeps
+    the block's horizons in pair order and index None: no gather is needed."""
     n_steps = max(1, int(round(t_end / grid.dt)))
     dt = t_end / n_steps
-    xs = grid.x_nodes
+    xs, width = grid.x_nodes, grid.n_u + 1
 
     # x-departure point x_i - v dt = x_{i - c}; snap c to an integer when it
     # is one up to rounding, so that the shift is exact
@@ -361,13 +377,13 @@ def _plan(grid: Grid2D, v: float, t_end: float, node: int | None) -> _Plan:
     lag = ((xs[:n_in] - grid.x_min) / v)[:, None]
 
     # rows [lo, hi) that each step advances; none above top
-    if node is None:
+    if nodes is None:
         top = grid.n_x
         lo, hi = [0] * n_steps, [grid.n_x + 1] * n_steps
     else:
-        top = node
+        first, top = nodes
         left = np.arange(n_steps - 1, -1, -1)  # steps after each one
-        lo = np.maximum(top - reach * left, 0).tolist()
+        lo = np.maximum(first - reach * left, 0).tolist()
         hi = np.maximum(top + 1 - shift * left, 0).tolist()
     counts = [h - l for l, h in zip(lo, hi)]
     travel = (xs[:top + 1, None] - grid.x_min) / v  # from the inflow at x_min
@@ -385,9 +401,29 @@ def _plan(grid: Grid2D, v: float, t_end: float, node: int | None) -> _Plan:
         rows, t_col = np.repeat(lo[s0:s1], n) + local, np.repeat(t_new, n)[:, None]
         ends = np.cumsum(n).tolist()
         steps = tuple(zip(lo[s0:s1], hi[s0:s1], [0] + ends[:-1], ends, t_new))
-        blocks.append((steps, _frozen(local), _frozen(np.minimum(t_col, travel[rows]))))
+        blocks.append((steps, read_only(local[:, None] * width),
+                       np.minimum(t_col, travel[rows]).ravel()))
         s0 = s1
-    return _Plan(n_steps, dt, shift, theta, n_in, _frozen(lag), top, tuple(blocks))
+
+    runs, size = [], 0
+    b0 = 0
+    while b0 < len(blocks):
+        distinct, b1 = np.unique(blocks[b0][2]), b0 + 1
+        while b1 < len(blocks):
+            wider = np.union1d(distinct, blocks[b1][2])
+            if wider.size > grid.n_x + 1:
+                break
+            distinct, b1 = wider, b1 + 1
+        if b1 == b0 + 1 and distinct.size == blocks[b0][2].size:
+            runs.append((read_only(blocks[b0][2][:, None]), (blocks[b0][:2] + (None,),)))
+        else:
+            size = max([size] + [len(offset) for _, offset, _ in blocks[b0:b1]])
+            runs.append((read_only(distinct[:, None]),
+                         tuple((steps, offset, read_only(np.searchsorted(distinct, horizon)))
+                               for steps, offset, horizon in blocks[b0:b1])))
+        b0 = b1
+    return _Plan(n_steps, dt, shift, theta, n_in, read_only(lag), top,
+                 read_only(_log_ratio(grid.u_nodes, grid.u_max)[None, :]), size, tuple(runs))
 
 
 def solve_cdf_fv(spec: ClosureSpec, phi: StatParams, cfg: PhysicsConfig,
@@ -418,6 +454,10 @@ def solve_cdf_fv(spec: ClosureSpec, phi: StatParams, cfg: PhysicsConfig,
     pinned rows F(U_min) = 0 and F(U_max) = 1, which are enforced exactly. The
     diffusion solve is an M-matrix system in conservative form and keeps the
     slice monotone as well.
+
+    store="all" keeps every step's field; store="last" keeps the last one
+    and advances only the rows it reads, so its warnings and non-finite
+    checks cover those rows alone.
     """
     if t_end is None:
         t_end = grid.t_end
@@ -429,28 +469,38 @@ def _advance(spec: ClosureSpec, phi: StatParams, cfg: PhysicsConfig,
              store: str, cone_x: float | None = None) -> CdfSolution:
     """The step loop of `solve_cdf_fv`, on a range of x-rows per step.
 
-    With cone_x None every row is advanced at every step. Otherwise only the
-    backward characteristic cone of the node ix nearest cone_x is: the rows
+    With cone_x None and store "all" every row is advanced at every step.
+    Otherwise only the rows that the last step reads are: the backward
+    characteristic cone of the node ix nearest cone_x, or with cone_x None
+    the union of the cones of every node. The cone of ix holds the rows
     [ix - reach m, ix - shift m] at m steps before t_end, where shift =
     floor(c), reach = shift + [c fractional] and c = v dt / dx, clipped at
     row 0 and empty while the characteristic of ix is still upstream of
-    x_min. Each row read by a row of the cone is in the cone one step
-    earlier, so row ix at t_end equals the full-field solve's; F holds rows
-    0..ix only, and only slice_at(cone_x, t_end) is valid. Every row that is
-    computed gets the same checks as in the full field.
+    x_min; the union holds rows [0, n_x - shift m]. Each row read by a row of
+    a cone is in the cone one step earlier, so the rows wanted at t_end equal
+    the full-field solve's. A cone's F holds rows 0..ix only, and only
+    slice_at(cone_x, t_end) is valid. Every row that is computed gets the
+    same checks as in the full field, and only those rows.
 
     The steps run in the blocks of `_plan`, memoized per (grid, v, t_end,
-    node ix), so repeated forecasts of one node only look it up: a coefficient
-    pass evaluates what does not depend on F for all (step, row) pairs of a
-    block, then a transport loop advances its steps. The block's output is
-    checked once for non-finite values, which raises at its first non-finite
-    step as a check after every step would, and once for monotonicity, which
-    reports each violating step in order.
+    nodes wanted), so repeated forecasts of one node only look it up. A
+    coefficient pass evaluates what does not depend on F once per run of
+    blocks, on the run's distinct memory horizons; each block gathers its
+    (step, row) pairs from that table into buffers reused across blocks, and
+    a transport loop then advances its steps. The block's output is checked
+    once for non-finite values, which raises at its first non-finite step as
+    a check after every step would, and once for monotonicity, which reports
+    each violating step in order.
     """
     from scipy.linalg.lapack import dgtsv  # here, not at import: it takes about 0.1 s
 
     us = grid.u_nodes
-    p = _plan(grid, cfg.v, t_end, None if cone_x is None else grid.nearest_x_node(cone_x))
+    if cone_x is not None:
+        ix = grid.nearest_x_node(cone_x)
+        nodes = (ix, ix)
+    else:
+        nodes = None if store == "all" else (0, grid.n_x)
+    p = _plan(grid, cfg.v, t_end, nodes)
     dt, shift, theta, n_in, lag = p.dt, p.shift, p.theta, p.n_in, p.lag
     du, width = grid.du, us.size
 
@@ -463,25 +513,21 @@ def _advance(spec: ClosureSpec, phi: StatParams, cfg: PhysicsConfig,
         rows[:, 0], rows[:, -1] = 0.0, 1.0
         return rows
 
-    F = np.tile(f0(us), (p.top + 1, 1))
-    F[:, 0], F[:, -1] = 0.0, 1.0
-    F[0] = inflow(0.0)[0]
-
-    snaps = [F.copy()] if store == "all" else None
-    warnings: list = []
     U = us[None, :]
-    cap = t_star(U, np.inf, np.inf, phi.get("k_mean"), grid.u_max)  # t* = min(horizon, cap)
+    cap = _cap(p.log_ratio, phi.get("k_mean"))  # t* = min(horizon, cap)
     corr = _closure_evaluator(spec, phi, cfg.v)
 
-    for steps, local, horizon in p.blocks:
-        # coefficient pass over the (step, row) pairs of the block
-        r, d22 = _drift_diffusion(spec, phi, corr(np.minimum(horizon, cap)), U)
-        # drift departure points, read between nodes j and j + 1 (the ends
-        # outside [U_min, U_max]) of the step's source rows, flattened
+    def coefficients(horizons):
+        """At the memory horizons (a column) and every U-node: the drift rate
+        r, the drift departure points, read between nodes j and j + 1 with
+        weight w (the ends outside [U_min, U_max]), and the bands of the
+        diffusion solve."""
+        r, d22 = _drift_diffusion(spec, phi, corr(np.minimum(horizons, cap)), U)
         pos = np.clip((U * np.exp(-r * dt) - grid.u_min) / du, 0.0, grid.n_u)
-        j = np.minimum(pos.astype(np.intp), grid.n_u - 1)
+        # a NaN departure point reads nodes n_u - 1 and n_u with weight NaN:
+        # its values go non-finite, which the block check then reports
+        j = np.fmin(pos, grid.n_u - 1).astype(np.intp)
         w = np.subtract(pos, j, out=pos)
-        j += local[:, None] * width
         sup = np.zeros_like(d22)  # -dt d22_{j+1/2} / du^2, zero at U_max
         sup[:, :-1] = (-0.5 * dt / du ** 2) * (d22[:, :-1] + d22[:, 1:])
         sub = np.empty_like(sup)
@@ -492,57 +538,89 @@ def _advance(spec: ClosureSpec, phi: StatParams, cfg: PhysicsConfig,
         # Dirichlet rows in U, which also uncouple the rows in the flat bands
         sup[:, 0] = sub[:, -1] = sup[:, -1] = 0.0
         diag[:, 0] = diag[:, -1] = 1.0
-        dl, d, dh = sub.reshape(-1)[1:], diag.reshape(-1), sup.reshape(-1)[:-1]
-        out = np.empty((len(local), width))
+        return r, (j, w, sub, diag, sup)
 
-        # transport loop
-        for l, h, a, b, t in steps:
-            if l < h:
-                if l >= n_in and theta == 0.0:  # the step reads rows of F as they are
-                    flat = F.reshape(-1)[(l - shift) * width:]
-                else:
-                    G = np.empty((h - l, width))
-                    # rows below n_in: their characteristics crossed x_min only lag
-                    # ago, so they have drifted for lag rather than dt; the drift
-                    # step adds dt. Row 0 is the inflow itself, not evolved.
-                    h_in = min(h, n_in)
-                    if l < h_in:
-                        scale = np.exp(r[a:a + h_in - l] * (dt - lag[l:h_in]))
-                        if l == 0:
-                            scale[0] = 1.0
-                        G[:h_in - l] = inflow(t - lag[l:h_in], us * scale)
-                    l_out = max(l, n_in)  # rows fed by interior departure points
-                    if l_out < h:
-                        src = F[l_out - shift:h - shift]
-                        if theta == 0.0:
-                            G[l_out - l:] = src
-                        else:
-                            G[l_out - l:] = ((1.0 - theta) * src
-                                             + theta * F[l_out - shift - 1:h - shift - 1])
-                    flat = G.reshape(-1)
-                f_lo, f_hi = flat[j[a:b]], flat[1:][j[a:b]]
-                np.subtract(f_hi, f_lo, out=f_hi)
-                np.multiply(w[a:b], f_hi, out=f_hi)
-                Fs = np.add(f_lo, f_hi, out=out[a:b])
-                Fs[:, 0], Fs[:, -1] = 0.0, 1.0
-                # with d22 = 0 (the exact closure) the bands are the identity
-                _gtsv(dgtsv, dl[a * width:b * width - 1], d[a * width:b * width],
-                      dh[a * width:b * width - 1], Fs.reshape(-1))
-                Fs[:, 0], Fs[:, -1] = 0.0, 1.0
-                if l == 0:  # t* = 0 on row 0, so I = 0: its solve was finite as well
-                    Fs[0] = G[0]
-                F[l:h] = Fs
-            if store == "all":
-                snaps.append(F.copy())
+    F = np.tile(f0(us), (p.top + 1, 1))
+    F[:, 0], F[:, -1] = 0.0, 1.0
+    F[0] = inflow(0.0)[0]
 
-        if not np.isfinite(out).all():  # find the first step that went non-finite
-            t = next(t for *_, a, b, t in steps if not np.isfinite(out[a:b]).all())
-            raise ArithmeticError(f"non-finite CDF values at t = {t:g}")
-        diffs = np.diff(out, axis=1)
-        if diffs.min() < -MONOTONE_WARN_TOL:  # find the steps, in order
-            for *_, a, b, t in steps:
-                if (m := float(diffs[a:b].min(initial=np.inf))) < -MONOTONE_WARN_TOL:
-                    warnings.append(f"monotonicity violation {m:.3e} at t = {t:.6g}")
+    snaps = [F.copy()] if store == "all" else None
+    warnings: list = []
+    # buffers of the blocks that gather: j, w, the bands, j + 1 and the output
+    ints, floats = np.empty((2, p.size, width), np.intp), np.empty((5, p.size, width))
+
+    def run(horizons, blocks):
+        """The coefficient pass of a run of blocks, then their transport loops;
+        the run's table and gathers are freed when it returns."""
+        r, table = coefficients(horizons)
+        for steps, offset, index in blocks:
+            n = len(offset)
+            if index is None:  # the table's rows are the block's pairs
+                j, w, sub, diag, sup = table
+                j1, out = np.empty_like(j), np.empty_like(w)
+            else:
+                j, w, sub, diag, sup = (np.take(a, index, axis=0, out=buf[:n], mode="clip")
+                                        for a, buf in zip(table, (ints[0], *floats[:4])))
+                j1, out = ints[1, :n], floats[4, :n]
+            j += offset
+            np.add(j, 1, out=j1)
+            dl, d, dh = sub.reshape(-1)[1:], diag.reshape(-1), sup.reshape(-1)[:-1]
+
+            # transport loop
+            for l, h, a, b, t in steps:
+                if l < h:
+                    if l >= n_in and theta == 0.0:  # the step reads rows of F as they are
+                        flat = F.reshape(-1)[(l - shift) * width:]
+                    else:
+                        G = np.empty((h - l, width))
+                        # rows below n_in: their characteristics crossed x_min only lag
+                        # ago, so they have drifted for lag rather than dt; the drift
+                        # step adds dt. Row 0 is the inflow itself, not evolved.
+                        h_in = min(h, n_in)
+                        if l < h_in:
+                            r_in = r[a:a + h_in - l] if index is None else r[index[a:a + h_in - l]]
+                            scale = np.exp(r_in * (dt - lag[l:h_in]))
+                            if l == 0:
+                                scale[0] = 1.0
+                            G[:h_in - l] = inflow(t - lag[l:h_in], us * scale)
+                        l_out = max(l, n_in)  # rows fed by interior departure points
+                        if l_out < h:
+                            src = F[l_out - shift:h - shift]
+                            if theta == 0.0:
+                                G[l_out - l:] = src
+                            else:
+                                G[l_out - l:] = ((1.0 - theta) * src
+                                                 + theta * F[l_out - shift - 1:h - shift - 1])
+                        flat = G.reshape(-1)
+                    f_lo, f_hi = flat[j[a:b]], flat[j1[a:b]]
+                    np.subtract(f_hi, f_lo, out=f_hi)
+                    np.multiply(w[a:b], f_hi, out=f_hi)
+                    Fs = np.add(f_lo, f_hi, out=out[a:b])
+                    Fs[:, 0], Fs[:, -1] = 0.0, 1.0
+                    # with d22 = 0 (the exact closure) the bands are the identity;
+                    # dgtsv overwrites them and solves in Fs
+                    *_, info = dgtsv(dl[a * width:b * width - 1], d[a * width:b * width],
+                                     dh[a * width:b * width - 1], Fs.reshape(-1), 1, 1, 1, 1)
+                    if info:
+                        raise _lapack_error(info)
+                    Fs[:, 0], Fs[:, -1] = 0.0, 1.0
+                    if l == 0:  # t* = 0 on row 0, so I = 0: its solve was finite as well
+                        Fs[0] = G[0]
+                    F[l:h] = Fs
+                if store == "all":
+                    snaps.append(F.copy())
+
+            if not np.isfinite(out).all():  # find the first step that went non-finite
+                t = next(t for *_, a, b, t in steps if not np.isfinite(out[a:b]).all())
+                raise ArithmeticError(f"non-finite CDF values at t = {t:g}")
+            diffs = np.diff(out, axis=1)
+            if diffs.min() < -MONOTONE_WARN_TOL:  # find the steps, in order
+                for *_, a, b, t in steps:
+                    if (m := float(diffs[a:b].min(initial=np.inf))) < -MONOTONE_WARN_TOL:
+                        warnings.append(f"monotonicity violation {m:.3e} at t = {t:.6g}")
+
+    for horizons, blocks in p.runs:
+        run(horizons, blocks)
 
     times = np.arange(p.n_steps + 1) * dt
     if store == "all":

@@ -135,6 +135,38 @@ class TestDamdLoss:
         # boundary parameters untouched for an initial-region datum
         assert step.phi_after.get("mub") == 0.5
 
+    def test_prior_slice_forecast_once_per_datum(self, monkeypatch):
+        import damd.assimilate as assimilate
+
+        grid = Grid2D(0.0, 1.0, 40, 0.0, 1.0, 64, 0.025, 0.6)
+        spec, cfg, opt = ClosureSpec("random_constant_k"), PhysicsConfig(), OptimizerConfig()
+        ms = generate_observations(PhysicsConfig(k_field=KField.constant(1.047, 40)),
+                                   [(0.1, 0.3), (0.8, 0.3), (0.8, 0.6)], 0.02, noise_seed=3)
+        phi0 = StatParams(k_mean=2.0, k_std=0.2)
+        calls = []
+        forecast = assimilate.forecast_slice
+
+        def counted(*args, **kw):
+            calls.append(args[0])
+            return forecast(*args, **kw)
+
+        monkeypatch.setattr(assimilate, "forecast_slice", counted)
+        # the loop that forecasts the prior slice again at the first vertex
+        expected, phi = [], phi0
+        for m in ms:
+            _, target = observational_posterior(counted(phi, spec, cfg, grid, m.x, m.t),
+                                                m.d, m.sigma_eps)
+            phi_new, loss, iters, converged = minimize_nelder_mead(
+                lambda p: damd_loss(p, spec, cfg, grid, m, target), phi, opt, ("k_mean", "k_std"))
+            expected.append((phi, phi_new, loss, iters, converged))
+            phi = phi_new
+        n_calls = len(calls)
+        calls.clear()
+        trace = damd_assimilate(ms, phi0, spec, cfg, grid, opt)
+        assert len(calls) == n_calls - len(ms)
+        assert [(s.phi_before, s.phi_after, s.loss, s.iterations, s.converged)
+                for s in trace.steps] == expected
+
 
 class TestExactBayes:
     def test_no_measurements_returns_priors(self):

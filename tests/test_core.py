@@ -32,6 +32,16 @@ class TestGrid2D:
         assert g.n_steps == 60
         assert g.times[-1] == pytest.approx(0.6)
 
+    def test_node_arrays_are_built_once_and_read_only(self):
+        g = Grid2D(0.0, 1.0, 200, 0.0, 1.0, 128, 0.01, 0.6)
+        for name in ("x_nodes", "u_nodes"):
+            nodes = getattr(g, name)
+            assert getattr(g, name) is nodes
+            with pytest.raises(ValueError):
+                nodes[0] = 0.5
+        assert g == Grid2D(0.0, 1.0, 200, 0.0, 1.0, 128, 0.01, 0.6)  # equality and hash by fields
+        assert hash(g) == hash(Grid2D(0.0, 1.0, 200, 0.0, 1.0, 128, 0.01, 0.6))
+
     def test_nearest_x_node(self):
         g = Grid2D(0.5, 1.5, 20, 0.0, 1.0, 10, 0.01, 0.1)
         assert [g.nearest_x_node(x) for x in (0.5, 0.63, 0.66, 1.5)] == [0, 3, 3, 20]

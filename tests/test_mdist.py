@@ -12,7 +12,7 @@ from damd import (ClosureSpec, ContractError, Grid2D, PhysicsConfig, StatParams,
                   closure_coefficients, cramer_distance, forecast_slice,
                   initial_boundary_cdfs, solve_cdf_characteristics, solve_cdf_fv,
                   t_star)
-from damd.mdist import _advance, _closure_evaluator, _gtsv, _plan
+from damd.mdist import _advance, _closure_evaluator, _lapack_error, _plan
 from damd.core import empirical_cdf
 from damd.physics import forcing, make_rng
 from scipy.linalg.lapack import dgtsv
@@ -269,12 +269,15 @@ class TestInitialBoundaryCdfs:
 
 def _thomas(sub, diag, sup, rhs):
     """Independent tridiagonal systems along the last axis, sub[..., 0] and
-    sup[..., -1] ignored, solved by one `_gtsv` call on a copy of rhs."""
+    sup[..., -1] ignored, solved by one `dgtsv` call on a copy of rhs, with
+    the transport loop's check of its `info`."""
     n = diag.shape[-1]
     dl, du = sub.reshape(-1)[1:].copy(), sup.reshape(-1)[:-1].copy()
     dl[n - 1::n] = du[n - 1::n] = 0.0  # no coupling between neighbouring systems
     x = np.array(rhs, dtype=float)
-    _gtsv(dgtsv, dl, diag.reshape(-1).copy(), du, x.reshape(-1))
+    *_, info = dgtsv(dl, diag.reshape(-1).copy(), du, x.reshape(-1), 1, 1, 1, 1)
+    if info:
+        raise _lapack_error(info)
     return x
 
 
@@ -317,10 +320,11 @@ class TestThomas:
             _thomas(ones, ones, ones, ones)
 
     def test_solves_in_place(self):
-        # the transport loop leaves each step's rows where `_gtsv` wrote them
+        # the transport loop leaves each step's rows where `dgtsv` wrote them
         out = np.ones((3, 8))
-        x = _gtsv(dgtsv, np.full(7, -0.1), np.full(8, 1.5), np.full(7, -0.1), out[1])
-        assert np.shares_memory(x, out) and np.array_equal(out[1], x)
+        *_, x, info = dgtsv(np.full(7, -0.1), np.full(8, 1.5), np.full(7, -0.1), out[1],
+                            1, 1, 1, 1)
+        assert info == 0 and np.shares_memory(x, out) and np.array_equal(out[1], x)
 
 
 class TestCharacteristics:
@@ -696,6 +700,11 @@ class TestTransportOracle:
                 sol = solve_cdf_fv(spec, PHI, PhysicsConfig(), grid, deterministic_inputs=det)
                 assert np.array_equal(sol.snapshots, snaps), (spec, det)
                 assert sol.warnings == warns, (spec, det)
+                # store="last" advances only the union of the cones of every node
+                last = solve_cdf_fv(spec, PHI, PhysicsConfig(), grid, deterministic_inputs=det,
+                                    store="last")
+                assert np.array_equal(last.snapshots, snaps[-1:]), (spec, det)
+                assert np.array_equal(last.times, sol.times[-1:]), (spec, det)
                 if spec.family == "exact_deterministic_k":
                     continue  # forecast by characteristics, not on the grid
                 # cones of several blocks of several steps on this coarse grid
@@ -735,7 +744,7 @@ class TestTransportOracle:
     def test_non_finite_values_raise_at_the_step_loops_step(self):
         # C(h) = inf beyond h = 0.15: I(t*) is infinite once t* passes it, the
         # appendix drift and the diffusion then give non-finite values (a NaN
-        # covariance would make the drift's departure points NaN instead)
+        # covariance makes the drift's departure points NaN instead, see below)
         spec = ClosureSpec("general_quadrature", quad_points=10,
                            cov_fn=lambda h: np.where(h > 0.15, np.inf, 0.04 * np.exp(-h)))
         grid = self.GRIDS[-1]  # v dt / dx = 2: the cone at (0.8, 0.6) is one block of 6 steps
@@ -745,6 +754,26 @@ class TestTransportOracle:
         assert str(ref.value) == "non-finite CDF values at t = 0.2"  # the block's second step
         with pytest.raises(ArithmeticError, match=message):
             solve_cdf_fv(spec, PHI, PhysicsConfig(), grid, deterministic_inputs=False)
+        for x in (0.8, 1.0):
+            with pytest.raises(ArithmeticError, match=message):
+                forecast_slice(PHI, spec, PhysicsConfig(), grid, x, 0.6, deterministic_inputs=False)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf, 0 * inf
+    @pytest.mark.parametrize("bad, sign", [(np.nan, "appendix"), (np.nan, "main_text"),
+                                           (np.inf, "main_text"), (-np.inf, "appendix")])
+    def test_nan_departure_points_raise_arithmetic_error(self, bad, sign):
+        # C(h) = NaN beyond h = 0.15, or an infinity that makes the drift rate
+        # -inf, makes the drift's departure points NaN once t* passes it (at
+        # t = 0.2): the solver reports non-finite values there, not a failed
+        # gather
+        spec = ClosureSpec("general_quadrature", sign_convention=sign, quad_points=10,
+                           cov_fn=lambda h: np.where(h > 0.15, bad, 0.04 * np.exp(-h)))
+        grid = self.GRIDS[-1]  # v dt / dx = 2
+        message = "^non-finite CDF values at t = 0\\.2$"
+        for store in ("all", "last"):
+            with pytest.raises(ArithmeticError, match=message):
+                solve_cdf_fv(spec, PHI, PhysicsConfig(), grid, deterministic_inputs=False,
+                             store=store)
         for x in (0.8, 1.0):
             with pytest.raises(ArithmeticError, match=message):
                 forecast_slice(PHI, spec, PhysicsConfig(), grid, x, 0.6, deterministic_inputs=False)
@@ -768,8 +797,63 @@ class TestConePlan:
         assert _plan.cache_info().hits >= 2 * 7  # the second and third phi reuse every plan
 
     def test_plan_arrays_are_read_only(self):
-        plan = _plan(self.GRID, 1.0, 0.6, 16)
-        assert len(plan.blocks) == 2
-        for a in [plan.lag] + [a for _, local, horizon in plan.blocks for a in (local, horizon)]:
+        plan = _plan(self.GRID, 1.0, 0.6, (16, 16))
+        blocks = [block for _, blocks in plan.runs for block in blocks]
+        assert len(blocks) == 2
+        arrays = [plan.lag, plan.log_ratio] + [horizons for horizons, _ in plan.runs]
+        arrays += [a for _, offset, index in blocks for a in (offset, index) if a is not None]
+        for a in arrays:
             with pytest.raises(ValueError):
                 a.reshape(-1)[0] = 0
+
+
+class TestHorizonTables:
+    """`_advance` evaluates the closure once per distinct memory horizon of a
+    run of blocks, on tables of at most n_x + 1 rows."""
+
+    PAPER = Grid2D(0.0, 1.0, 200, 0.0, 1.0, 128, 0.01, 0.6)  # v dt / dx = 2
+    GRIDS = [PAPER,
+             Grid2D(0.0, 1.0, 20, 0.0, 1.0, 24, 0.005, 0.6),    # v dt / dx = 0.1, 120 steps
+             Grid2D(0.0, 1.0, 50, 0.0, 1.0, 48, 0.0025, 0.3)]   # v dt / dx = 0.125
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=["paper", "cfl-0.1", "cfl-0.125"])
+    def test_tables_hold_each_pairs_horizon_in_at_most_n_x_plus_1_rows(self, grid):
+        travel = grid.x_nodes - grid.x_min
+        for nodes in (None, (0, grid.n_x), (grid.n_x // 2, grid.n_x // 2), (grid.n_x, grid.n_x)):
+            plan = _plan(grid, 1.0, grid.t_end, nodes)
+            for horizons, blocks in plan.runs:
+                assert 0 < horizons.shape[0] <= grid.n_x + 1, nodes
+                for steps, offset, index in blocks:
+                    rows = np.concatenate([np.arange(lo, hi) for lo, hi, *_ in steps])
+                    t = np.concatenate([[t] * (hi - lo) for lo, hi, _, _, t in steps])
+                    table = horizons[:, 0] if index is None else horizons[index, 0]
+                    assert np.array_equal(table, np.minimum(t, travel[rows])), nodes
+                    local = np.concatenate([np.arange(hi - lo) for lo, hi, *_ in steps])
+                    assert np.array_equal(offset[:, 0], local * (grid.n_u + 1)), nodes
+        if grid is not self.PAPER:  # more distinct horizons than n_x + 1
+            assert len(_plan(grid, 1.0, grid.t_end, None).runs) > 1
+
+    def test_paper_grid_store_last_advances_the_union_of_cones(self, monkeypatch):
+        import damd.mdist as mdist
+
+        grid = self.PAPER
+        plan = _plan(grid, 1.0, grid.t_end, (0, grid.n_x))
+        assert sum(hi - lo for _, blocks in plan.runs for steps, *_ in blocks
+                   for lo, hi, *_ in steps) == 8520  # of 60 x 201 = 12060
+        sizes = []
+        evaluator = mdist._closure_evaluator
+
+        def counted(spec, phi, v):
+            corr = evaluator(spec, phi, v)
+
+            def evaluate(ts):
+                sizes.append(np.size(ts))
+                return corr(ts)
+            return evaluate
+
+        monkeypatch.setattr(mdist, "_closure_evaluator", counted)
+        sol = solve_cdf_fv(ClosureSpec("exponential_k"), PHI, PhysicsConfig(), grid, store="last")
+        monkeypatch.undo()
+        assert 0 < sum(sizes) <= 121 * 129
+        full = solve_cdf_fv(ClosureSpec("exponential_k"), PHI, PhysicsConfig(), grid)
+        assert np.array_equal(sol.snapshots, full.snapshots[-1:])
