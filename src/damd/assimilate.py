@@ -3,7 +3,7 @@ over the closure parameters, and the exact-Bayes / grid-Bayes / EnKF baselines."
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -22,7 +22,6 @@ _LOG_FLOOR = 1e-8
 class OptimizerConfig:
     tol: float = 1e-3
     max_iters: int = 200
-    initial_simplex_scale: float = 0.1
 
     def __post_init__(self):
         if not self.tol > 0:
@@ -94,9 +93,10 @@ def _vec_to_phi(phi: StatParams, names, vec) -> StatParams:
     return phi.replace(**kw)
 
 
-def nelder_mead(f, x0, tol: float, max_iters: int, initial_scale: float = 0.1):
+def nelder_mead(f, x0, tol: float, max_iters: int):
     """Standard Nelder-Mead (reflection 1, expansion 2, contraction 0.5,
-    shrink 0.5) on a plain vector objective.
+    shrink 0.5) on a plain vector objective, from the simplex of x0 and the
+    n points x0 + 0.1 max(|x0_i|, 1) e_i.
 
     The loss-spread stopping test is scaled by the starting value of the
     objective, so rescaling the objective by a positive constant leaves the
@@ -106,7 +106,7 @@ def nelder_mead(f, x0, tol: float, max_iters: int, initial_scale: float = 0.1):
     n = x0.size
     simplex = [x0.copy()]
     for i in range(n):
-        step = initial_scale * max(abs(x0[i]), 1.0)
+        step = 0.1 * max(abs(x0[i]), 1.0)
         v = x0.copy()
         v[i] += step
         simplex.append(v)
@@ -158,20 +158,16 @@ def minimize_nelder_mead(objective, phi0: StatParams, opt: OptimizerConfig,
         return objective(_vec_to_phi(phi0, coords, vec))
 
     x0 = _phi_to_vec(phi0, coords)
-    xbest, fbest, iters, converged = nelder_mead(
-        f, x0, opt.tol, opt.max_iters, opt.initial_simplex_scale)
+    xbest, fbest, iters, converged = nelder_mead(f, x0, opt.tol, opt.max_iters)
     return _vec_to_phi(phi0, coords, xbest), fbest, iters, converged
 
 
 def damd_loss(phi: StatParams, spec: ClosureSpec, cfg: PhysicsConfig,
-              grid: Grid2D, m, target_cdf: DiscreteCdf,
-              deterministic_inputs: bool | None = None) -> float:
+              grid: Grid2D, m, target_cdf: DiscreteCdf) -> float:
     """Cramer distance between the observational target CDF and the forecast
     slice produced by phi at the measurement point.  The solver enforces the
     CDF equation, so no residual penalty terms are needed."""
-    sl = forecast_slice(phi, spec, cfg, grid, m.x, m.t,
-                        deterministic_inputs=deterministic_inputs)
-    return cramer_distance(target_cdf, sl)
+    return cramer_distance(target_cdf, forecast_slice(phi, spec, cfg, grid, m.x, m.t))
 
 
 def _default_coords(spec: ClosureSpec, m, v: float):
@@ -192,20 +188,22 @@ def damd_assimilate(measurements: MeasurementSet, phi0: StatParams,
     """Sequentially condition the closure parameters on each measurement:
     forecast a prior slice, Bayes-update it into a target CDF, then fit phi
     to the target by distance minimization. The fit's first vertex is phi
-    itself, whose loss reads the prior slice rather than forecasting it again."""
+    itself, whose loss reads the prior slice rather than forecasting it again.
+
+    deterministic_inputs, unless None, replaces the spec's own."""
+    if deterministic_inputs is not None:
+        spec = replace(spec, deterministic_inputs=deterministic_inputs)
     phi = phi0
     steps = []
     for idx, m in enumerate(measurements):
-        prior_slice = forecast_slice(phi, spec, cfg, grid, m.x, m.t,
-                                     deterministic_inputs=deterministic_inputs)
+        prior_slice = forecast_slice(phi, spec, cfg, grid, m.x, m.t)
         _, target = observational_posterior(prior_slice, m.d, m.sigma_eps)
         active = coords if coords is not None else _default_coords(spec, m, cfg.v)
 
         def objective(p):
             if p == phi:
                 return cramer_distance(target, prior_slice)
-            return damd_loss(p, spec, cfg, grid, m, target,
-                             deterministic_inputs=deterministic_inputs)
+            return damd_loss(p, spec, cfg, grid, m, target)
 
         phi_new, loss, iters, converged = minimize_nelder_mead(
             objective, phi, opt, active)

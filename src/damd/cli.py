@@ -21,7 +21,7 @@ from .core import (ContractError, DegenerateInputError, GaussianDist, Grid2D,
                    empirical_cdf, write_csv)
 from .geometry import fisher_information, kl_gain_profile
 from .mdist import ClosureSpec, StatParams, forecast_slice, solve_cdf_fv
-from .physics import (KField, PhysicsConfig, characteristic_origin,
+from .physics import (SENSOR_TS, SENSOR_XS, KField, PhysicsConfig, characteristic_origin,
                       empirical_semivariogram, forcing, generate_observations,
                       k_field_to_csv, make_rng, sample_k_field, two_sensor_schedule)
 
@@ -47,13 +47,13 @@ SCHEMA = {
               "k_std": (float, 0.0), "k_corr_len": (float, 0.0),
               "u0": (float, None), "ub": (float, None), "seed": (int, 1)},
     "noise": {"sigma_eps": (float, 0.02), "seed": (int, 1)},
-    "measurements": {"xs": (str, "0.1,0.8"),
-                     "ts": (str, "0.15,0.2,0.25,0.3,0.35,0.4,0.45,0.5,0.55,0.6")},
+    "measurements": {"xs": (str, ",".join(map(str, SENSOR_XS))),
+                     "ts": (str, ",".join(map(str, SENSOR_TS)))},
     "prior": {"mu0": (float, None), "sigma0": (float, None),
               "mub": (float, None), "sigmab": (float, None),
               "k_mean": (float, None), "k_std": (float, None),
               "k_corr_len": (float, None)},
-    "optimizer": _library(OptimizerConfig, "tol", "max_iters", "initial_simplex_scale"),
+    "optimizer": _library(OptimizerConfig, "tol", "max_iters"),
     "enkf": {"n_ens": (int, 50), "seed": (int, 1)},
     "closure": {"family": (str, "random_constant_k"),
                 **_library(ClosureSpec, "sign_convention")},
@@ -231,8 +231,7 @@ def cmd_assimilate(cfg, out_dir: Path) -> int:
                 rows.append([i, x, k])
         write_csv(out_dir / "ensemble_posterior.csv", ["member", "x", "k"], rows)
         if spec.family == "exponential_k":
-            fields = [KField("white", 0.0, 0.0, None, m) for m in ens.members]
-            lags, gammas = empirical_semivariogram(fields, grid)
+            lags, gammas = empirical_semivariogram(ens.members, grid)
             write_csv(out_dir / "variogram.csv", ["lag", "gamma"],
                       zip(lags, gammas))
 

@@ -70,17 +70,14 @@ def fim_from_density_fn(density_fn, theta: dict, coords, h_rel: float = 1e-3) ->
 
 def fisher_information(spec: ClosureSpec, phi: StatParams, x: float, t: float,
                        coords, cfg: PhysicsConfig, grid: Grid2D,
-                       h_rel: float = 1e-3,
-                       deterministic_inputs: bool | None = None) -> FimMatrix:
+                       h_rel: float = 1e-3) -> FimMatrix:
     """Fisher information of the forecast state density at (x, t) with respect
     to the named closure parameters."""
     coords = tuple(coords)
 
     def density_fn(theta):
         p = phi.replace(**{name: theta[name] for name in coords})
-        sl = forecast_slice(p, spec, cfg, grid, x, t,
-                            deterministic_inputs=deterministic_inputs)
-        return pdf_from_cdf(sl)
+        return pdf_from_cdf(forecast_slice(p, spec, cfg, grid, x, t))
 
     theta0 = {name: phi.get(name) for name in coords}
     return fim_from_density_fn(density_fn, theta0, coords, h_rel=h_rel)
@@ -88,8 +85,7 @@ def fisher_information(spec: ClosureSpec, phi: StatParams, x: float, t: float,
 
 def kl_gain_profile(spec: ClosureSpec, phi_prior: StatParams,
                     phi_post: StatParams, t: float, grid: Grid2D,
-                    cfg: PhysicsConfig,
-                    deterministic_inputs: bool | None = None):
+                    cfg: PhysicsConfig):
     """KL divergence of the posterior forecast from the prior forecast as a
     function of x at time t.  Returns (x_nodes, dkl)."""
     xs = grid.x_nodes
@@ -98,9 +94,8 @@ def kl_gain_profile(spec: ClosureSpec, phi_prior: StatParams,
         """The forecast U-slice at (x, t) under phi, as a function of x; a
         grid solve keeps one U-row per x-node rather than a list of slices."""
         if spec.family == "exact_deterministic_k":
-            return lambda x: forecast_slice(phi, spec, cfg, grid, x, t, deterministic_inputs)
-        sol = solve_cdf_fv(spec, phi, cfg, grid, t_end=t,
-                           deterministic_inputs=deterministic_inputs, store="last")
+            return lambda x: forecast_slice(phi, spec, cfg, grid, x, t)
+        sol = solve_cdf_fv(spec, phi, cfg, grid, t_end=t, store="last")
         return lambda x: sol.slice_at(x, t)
 
     prior, post = (slicer(phi) for phi in (phi_prior, phi_post))

@@ -110,12 +110,17 @@ class StatParams:
 
 @dataclass(frozen=True)
 class ClosureSpec:
-    """Which closure family supplies the CDF-equation coefficients.
+    """Which closure family supplies the CDF-equation coefficients, and
+    whether the initial and inflow states are deterministic.
 
     general_quadrature integrates exp(<k> tau) * C(v tau) over [0, t*] by
     trapezoid rule; a point mass of the covariance at zero lag (nugget)
     contributes half its weight divided by v: taken at lag v tau it is
     nugget delta(tau) / v, and the integration range is one-sided.
+
+    deterministic_inputs None takes the family's default when read (see
+    `_deterministic_inputs`), so a copy with another family takes that
+    family's.
     """
 
     family: str
@@ -123,6 +128,7 @@ class ClosureSpec:
     cov_fn: object | None = None
     nugget: float = 0.0
     quad_points: int = 2000
+    deterministic_inputs: bool | None = None
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -243,15 +249,14 @@ def _trunc_gauss_cdf(u, mean, std, u_min, u_max):
     return np.clip((ndtr((np.asarray(u, dtype=float) - mean) / std) - lo) / span, 0.0, 1.0)
 
 
-def resolve_deterministic_inputs(spec: ClosureSpec,
-                                 deterministic_inputs: bool | None) -> bool:
-    """Whether the initial and inflow states are deterministic; None picks
-    the family default: random states for the exact closure, whose forecast
-    uncertainty comes from them alone, deterministic ones for the closures
-    of a random rate."""
-    if deterministic_inputs is None:
+def _deterministic_inputs(spec: ClosureSpec) -> bool:
+    """Whether the spec's initial and inflow states are deterministic; None
+    picks the family default: random states for the exact closure, whose
+    forecast uncertainty comes from them alone, deterministic ones for the
+    closures of a random rate."""
+    if spec.deterministic_inputs is None:
         return spec.family != "exact_deterministic_k"
-    return deterministic_inputs
+    return spec.deterministic_inputs
 
 
 def initial_boundary_cdfs(phi: StatParams, deterministic_inputs: bool,
@@ -291,10 +296,7 @@ class CdfSolution:
     def slice_at(self, x: float, t: float) -> DiscreteCdf:
         """Nearest-node U-slice as a validated CDF."""
         it = int(np.argmin(np.abs(self.times - t)))
-        ix = self.grid.nearest_x_node(x)
-        vals = np.maximum.accumulate(np.clip(self.snapshots[it, ix], 0.0, 1.0))
-        vals[0], vals[-1] = 0.0, 1.0
-        return DiscreteCdf(self.grid.u_nodes, vals)
+        return _repaired_slice(self.grid, self.snapshots[it, self.grid.nearest_x_node(x)])
 
     def min_forward_difference(self) -> float:
         return float(np.min(np.diff(self.snapshots, axis=2)))
@@ -315,6 +317,14 @@ class CdfSolution:
             for t, snap in zip(self.times, self.snapshots):
                 prefix = f"{t:.17g},"
                 fh.write((prefix + prefix.join(tails)) % tuple(snap.ravel().tolist()))
+
+
+def _repaired_slice(grid: Grid2D, row) -> DiscreteCdf:
+    """A solver's U-row as a validated CDF: clipped to [0, 1], made
+    nondecreasing by a running maximum, the ends pinned to 0 and 1."""
+    vals = np.maximum.accumulate(np.clip(row, 0.0, 1.0))
+    vals[0], vals[-1] = 0.0, 1.0
+    return DiscreteCdf(grid.u_nodes, vals)
 
 
 def _lapack_error(info: int) -> Exception:
@@ -428,7 +438,6 @@ def _plan(grid: Grid2D, v: float, t_end: float, nodes: tuple | None) -> _Plan:
 
 def solve_cdf_fv(spec: ClosureSpec, phi: StatParams, cfg: PhysicsConfig,
                  grid: Grid2D, t_end: float | None = None,
-                 deterministic_inputs: bool | None = None,
                  store: str = "all") -> CdfSolution:
     """Advance the CDF equation by transport along characteristics, with the
     U-diffusion taken by backward Euler.
@@ -461,26 +470,26 @@ def solve_cdf_fv(spec: ClosureSpec, phi: StatParams, cfg: PhysicsConfig,
     """
     if t_end is None:
         t_end = grid.t_end
-    return _advance(spec, phi, cfg, grid, t_end, deterministic_inputs, store)
+    nodes = None if store == "all" else (0, grid.n_x)
+    return CdfSolution(grid, *_advance(spec, phi, cfg, grid, t_end, nodes))
 
 
 def _advance(spec: ClosureSpec, phi: StatParams, cfg: PhysicsConfig,
-             grid: Grid2D, t_end: float, deterministic_inputs: bool | None,
-             store: str, cone_x: float | None = None) -> CdfSolution:
-    """The step loop of `solve_cdf_fv`, on a range of x-rows per step.
+             grid: Grid2D, t_end: float, nodes: tuple | None):
+    """The step loop of `solve_cdf_fv`, on a range of x-rows per step;
+    returns (times, F, warnings), F with one field per time.
 
-    With cone_x None and store "all" every row is advanced at every step.
-    Otherwise only the rows that the last step reads are: the backward
-    characteristic cone of the node ix nearest cone_x, or with cone_x None
-    the union of the cones of every node. The cone of ix holds the rows
+    With nodes None every row is advanced at every step, and F holds every
+    step's field. Otherwise only the rows that the x-nodes nodes[0]..nodes[1]
+    read at t_end are, and F holds the last field, rows 0..nodes[1]. The
+    backward characteristic cone of node ix holds the rows
     [ix - reach m, ix - shift m] at m steps before t_end, where shift =
     floor(c), reach = shift + [c fractional] and c = v dt / dx, clipped at
     row 0 and empty while the characteristic of ix is still upstream of
-    x_min; the union holds rows [0, n_x - shift m]. Each row read by a row of
-    a cone is in the cone one step earlier, so the rows wanted at t_end equal
-    the full-field solve's. A cone's F holds rows 0..ix only, and only
-    slice_at(cone_x, t_end) is valid. Every row that is computed gets the
-    same checks as in the full field, and only those rows.
+    x_min; the union of the cones of every node holds rows [0, n_x - shift m].
+    Each row read by a row of a cone is in the cone one step earlier, so the
+    rows wanted at t_end equal the full-field solve's. Every row that is
+    computed gets the same checks as in the full field, and only those rows.
 
     The steps run in the blocks of `_plan`, memoized per (grid, v, t_end,
     nodes wanted), so repeated forecasts of one node only look it up. A
@@ -495,17 +504,11 @@ def _advance(spec: ClosureSpec, phi: StatParams, cfg: PhysicsConfig,
     from scipy.linalg.lapack import dgtsv  # here, not at import: it takes about 0.1 s
 
     us = grid.u_nodes
-    if cone_x is not None:
-        ix = grid.nearest_x_node(cone_x)
-        nodes = (ix, ix)
-    else:
-        nodes = None if store == "all" else (0, grid.n_x)
     p = _plan(grid, cfg.v, t_end, nodes)
     dt, shift, theta, n_in, lag = p.dt, p.shift, p.theta, p.n_in, p.lag
     du, width = grid.du, us.size
 
-    f0, fb = initial_boundary_cdfs(phi, resolve_deterministic_inputs(spec, deterministic_inputs),
-                                   cfg, grid.u_min, grid.u_max)
+    f0, fb = initial_boundary_cdfs(phi, _deterministic_inputs(spec), cfg, grid.u_min, grid.u_max)
 
     def inflow(t, u=us):
         """Inflow CDF at the times t (a column) and states u, ends pinned."""
@@ -544,7 +547,7 @@ def _advance(spec: ClosureSpec, phi: StatParams, cfg: PhysicsConfig,
     F[:, 0], F[:, -1] = 0.0, 1.0
     F[0] = inflow(0.0)[0]
 
-    snaps = [F.copy()] if store == "all" else None
+    snaps = [F.copy()] if nodes is None else None
     warnings: list = []
     # buffers of the blocks that gather: j, w, the bands, j + 1 and the output
     ints, floats = np.empty((2, p.size, width), np.intp), np.empty((5, p.size, width))
@@ -607,7 +610,7 @@ def _advance(spec: ClosureSpec, phi: StatParams, cfg: PhysicsConfig,
                     if l == 0:  # t* = 0 on row 0, so I = 0: its solve was finite as well
                         Fs[0] = G[0]
                     F[l:h] = Fs
-                if store == "all":
+                if nodes is None:
                     snaps.append(F.copy())
 
             if not np.isfinite(out).all():  # find the first step that went non-finite
@@ -623,9 +626,9 @@ def _advance(spec: ClosureSpec, phi: StatParams, cfg: PhysicsConfig,
         run(horizons, blocks)
 
     times = np.arange(p.n_steps + 1) * dt
-    if store == "all":
-        return CdfSolution(grid, times, np.stack(snaps), warnings)
-    return CdfSolution(grid, times[-1:], F[None], warnings)
+    if nodes is None:
+        return times, np.stack(snaps), warnings
+    return times[-1:], F[None], warnings
 
 
 def solve_cdf_characteristics(k: float, phi: StatParams, cfg: PhysicsConfig,
@@ -649,8 +652,7 @@ def solve_cdf_characteristics(k: float, phi: StatParams, cfg: PhysicsConfig,
 
 
 def forecast_slice(phi: StatParams, spec: ClosureSpec, cfg: PhysicsConfig,
-                   grid: Grid2D, x: float, t: float,
-                   deterministic_inputs: bool | None = None) -> DiscreteCdf:
+                   grid: Grid2D, x: float, t: float) -> DiscreteCdf:
     """Forecast with parameters phi the U-slice at the grid node nearest to
     (x, t), bit-identical to `solve_cdf_fv(..., t_end=t, store="last")`
     followed by `slice_at(x, t)`.
@@ -661,10 +663,10 @@ def forecast_slice(phi: StatParams, spec: ClosureSpec, cfg: PhysicsConfig,
     characteristics from x_min instead.
     """
     if spec.family == "exact_deterministic_k":
-        return solve_cdf_characteristics(
-            phi.get("k_mean"), phi, cfg, x - grid.x_min, t, grid.u_nodes,
-            resolve_deterministic_inputs(spec, deterministic_inputs))
-    sol = _advance(spec, phi, cfg, grid, t, deterministic_inputs, "last", cone_x=x)
-    for message in sol.warnings:
+        return solve_cdf_characteristics(phi.get("k_mean"), phi, cfg, x - grid.x_min, t,
+                                         grid.u_nodes, _deterministic_inputs(spec))
+    ix = grid.nearest_x_node(x)
+    _, F, warnings = _advance(spec, phi, cfg, grid, t, (ix, ix))
+    for message in warnings:
         _log.warning("forecast_slice at x = %g: %s", x, message)
-    return sol.slice_at(x, t)
+    return _repaired_slice(grid, F[-1, ix])

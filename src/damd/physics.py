@@ -15,6 +15,9 @@ import numpy as np
 from .core import ContractError, Grid2D, write_csv
 
 COV_JITTER = 1e-10
+# the sensor positions and sampling times of the paper's two-sensor schedule
+SENSOR_XS = (0.1, 0.8)
+SENSOR_TS = (0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45, 0.5, 0.55, 0.6)
 
 
 def make_rng(seed, stream: int = 0) -> np.random.Generator:
@@ -203,10 +206,8 @@ def generate_observations(cfg: PhysicsConfig, locations, sigma_eps, noise_seed,
     return MeasurementSet(tuple(recs))
 
 
-def two_sensor_schedule(xs=(0.1, 0.8), ts=None):
+def two_sensor_schedule(xs=SENSOR_XS, ts=SENSOR_TS):
     """Time-major cross product of sensor locations and sampling times."""
-    if ts is None:
-        ts = np.arange(0.15, 0.6 + 1e-12, 0.05)
     locs = []
     for t in ts:
         for x in sorted(xs):
@@ -236,18 +237,18 @@ def solve_physical_fv(k_values, cfg: PhysicsConfig, dx: float, t_end: float,
     return u[0] if np.asarray(k_values).ndim == 1 else u
 
 
-def empirical_semivariogram(field_samples, grid: Grid2D, bin_width: float | None = None,
-                            max_lag: float | None = None):
+def empirical_semivariogram(samples, grid: Grid2D):
     """gamma(h) = mean squared increment / 2 over cell pairs binned by lag,
-    averaged over the supplied field realizations.  Empty bins are omitted."""
-    if len(field_samples) < 2:
+    averaged over the field realizations, the rows of samples (one value per
+    grid cell). Lags run up to half the domain in bins of 5 cells; empty
+    bins are omitted."""
+    vals = np.asarray(samples, dtype=float)
+    if vals.ndim != 2 or vals.shape[1] != grid.n_x:
+        raise ContractError("samples must hold one row of n_x cell values per realization")
+    if vals.shape[0] < 2:
         raise ContractError("need at least two field samples")
     dx = grid.dx
-    if bin_width is None:
-        bin_width = 5.0 * dx
-    if max_lag is None:
-        max_lag = 0.5 * (grid.x_max - grid.x_min)
-    vals = np.stack([np.asarray(f.node_values, dtype=float) for f in field_samples])
+    bin_width, max_lag = 5.0 * dx, 0.5 * (grid.x_max - grid.x_min)
     lags, gammas = [], []
     n_bins = int(np.ceil(max_lag / bin_width))
     max_sep = int(np.floor(max_lag / dx))
@@ -264,8 +265,6 @@ def empirical_semivariogram(field_samples, grid: Grid2D, bin_width: float | None
             d = vals[:, s:] - vals[:, :-s]
             num += np.sum(d * d)
             cnt += d.size
-        if cnt == 0:
-            continue
         lags.append(float(np.mean(ss) * dx))
         gammas.append(0.5 * num / cnt)
     return np.array(lags), np.array(gammas)

@@ -59,8 +59,7 @@ def test_criterion_1_exact_case_matches_conjugate_bayes():
     ms = generate_observations(truth, two_sensor_schedule(), 0.04, noise_seed=1)
     phi0 = StatParams(k_mean=1.0, mu0=0.4, sigma0=0.1, mub=0.5, sigmab=0.1)
     trace = damd_assimilate(ms, phi0, ClosureSpec("exact_deterministic_k"),
-                            PhysicsConfig(), grid, OptimizerConfig(),
-                            deterministic_inputs=False)
+                            PhysicsConfig(), grid, OptimizerConfig())
     phi = trace.phi_final
     post0, postb = exact_bayes_inputs(ms, GaussianDist(0.4, 0.1),
                                       GaussianDist(0.5, 0.1), 1.0, PhysicsConfig())
@@ -198,7 +197,7 @@ def test_criterion_4_beats_enkf_on_rate_mean():
 def test_criterion_5_exact_closure_grid_error():
     phi = StatParams(k_mean=1.0, mu0=0.4, sigma0=0.1, mub=0.5, sigmab=0.1)
     sol = solve_cdf_fv(ClosureSpec("exact_deterministic_k"), phi,
-                       PhysicsConfig(), PAPER_GRID, deterministic_inputs=False)
+                       PhysicsConfig(), PAPER_GRID)
     invariants_ok = (np.all(sol.snapshots[:, :, 0] == 0.0)
                      and np.all(sol.snapshots[:, :, -1] == 1.0)
                      and sol.min_forward_difference() >= -1e-8)
@@ -263,8 +262,7 @@ def test_criterion_7_information_gain_scaling():
         ms = generate_observations(truth, two_sensor_schedule(ts=ts), 0.04,
                                    noise_seed=1)
         return damd_assimilate(ms, phi0, spec, PhysicsConfig(), grid,
-                               OptimizerConfig(),
-                               deterministic_inputs=False).phi_final
+                               OptimizerConfig()).phi_final
 
     ts20 = tuple(np.round(np.arange(0.15, 0.601, 0.05), 10))
     ts40 = tuple(np.round(np.arange(0.125, 0.601, 0.025), 10))

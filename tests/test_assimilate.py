@@ -81,6 +81,21 @@ class TestNelderMead:
         assert all(np.array_equal(a, b) for a, b in zip(log1, log2))
         assert np.array_equal(x1, x2)
 
+    def test_shrink_step(self):
+        # f vanishes on the unit circle, where x0 lies, so x0 stays the best
+        # vertex; four times the reflection and the contraction both fail and
+        # the simplex shrinks toward x0, which lets it converge (without the
+        # shrink step the same trial points repeat until max_iters)
+        calls = []
+
+        def f(v):
+            calls.append(v)
+            return (np.sqrt(v[0] ** 2 + v[1] ** 2) - 1.0) ** 2
+
+        x, fx, iters, converged = nelder_mead(f, np.array([1.0, 0.0]), 1e-8, 200)
+        assert converged and iters == 76 and len(calls) == 151
+        assert np.array_equal(x, [1.0, 0.0]) and fx == 0.0
+
     def test_log_coordinates_stay_positive(self):
         phi0 = StatParams(mu0=0.4, sigma0=0.2, mub=0.5, sigmab=0.1)
 
@@ -106,10 +121,8 @@ class TestDamdLoss:
     def test_self_target_zero(self):
         spec = ClosureSpec("exact_deterministic_k")
         m = Measurement(0.8, 0.3, 0.3, 0.04)
-        target = forecast_slice(self.PHI, spec, PhysicsConfig(), self.GRID,
-                                m.x, m.t, deterministic_inputs=False)
-        loss = damd_loss(self.PHI, spec, PhysicsConfig(), self.GRID, m, target,
-                         deterministic_inputs=False)
+        target = forecast_slice(self.PHI, spec, PhysicsConfig(), self.GRID, m.x, m.t)
+        loss = damd_loss(self.PHI, spec, PhysicsConfig(), self.GRID, m, target)
         assert loss == 0.0
 
     def test_empty_measurements_identity(self):
@@ -119,6 +132,17 @@ class TestDamdLoss:
         assert trace.steps == ()
         assert trace.phi_final is None
 
+    def test_deterministic_inputs_argument_replaces_the_specs(self):
+        ms = generate_observations(PhysicsConfig(k_field=KField.constant(1.0, 100)),
+                                   [(0.8, 0.3)], 0.01, noise_seed=0)
+        phi0 = self.PHI.replace(k_mean=1.2, k_std=0.2)
+        spec = ClosureSpec("random_constant_k")
+        args = (PhysicsConfig(), self.GRID, OptimizerConfig())
+        by_arg = damd_assimilate(ms, phi0, spec, *args, deterministic_inputs=False)
+        random_inputs = ClosureSpec("random_constant_k", deterministic_inputs=False)
+        assert by_arg == damd_assimilate(ms, phi0, random_inputs, *args)
+        assert by_arg != damd_assimilate(ms, phi0, spec, *args)
+
     def test_single_measurement_moves_toward_datum(self):
         # truth u0 = 0.391, prior mu0 = 0.43: the posterior initial mean
         # must move down toward the truth
@@ -126,8 +150,7 @@ class TestDamdLoss:
         ms = generate_observations(cfg_truth, [(0.8, 0.3)], 0.01, noise_seed=0)
         phi0 = self.PHI.replace(mu0=0.43)
         trace = damd_assimilate(ms, phi0, ClosureSpec("exact_deterministic_k"),
-                                PhysicsConfig(), self.GRID, OptimizerConfig(),
-                                deterministic_inputs=False)
+                                PhysicsConfig(), self.GRID, OptimizerConfig())
         step = trace.steps[0]
         assert step.converged
         assert step.phi_after.get("mu0") < 0.43

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from damd import (ClosureSpec, Grid2D, OptimizerConfig, PhysicsConfig, StatParams,
-                  fisher_information, forecast_slice)
-from damd.cli import ConfigError, _closure, _physics, load_config, main
+                  fisher_information, forecast_slice, two_sensor_schedule)
+from damd.cli import ConfigError, _closure, _locations, _physics, load_config, main
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 FIG2_INI = CONFIGS / "fig2_constant_rate.ini"
@@ -118,6 +118,10 @@ class TestConfig:
         assert _physics(cfg) == PhysicsConfig()
         assert OptimizerConfig(**cfg["optimizer"]) == OptimizerConfig()
         assert _closure(cfg) == ClosureSpec("random_constant_k")
+
+    def test_default_schedule_is_the_library_schedule(self, tmp_path):
+        cfg = load_config(write(tmp_path, "c.ini", FORWARD_INI))  # no [measurements]
+        assert _locations(cfg) == two_sensor_schedule()
 
     def test_rejects_unknown_key(self, tmp_path):
         p = write(tmp_path, "c.ini", "[domain]\nn_z = 3\n")

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import logging
 import re
@@ -12,7 +13,8 @@ from damd import (ClosureSpec, ContractError, Grid2D, PhysicsConfig, StatParams,
                   closure_coefficients, cramer_distance, forecast_slice,
                   initial_boundary_cdfs, solve_cdf_characteristics, solve_cdf_fv,
                   t_star)
-from damd.mdist import _advance, _closure_evaluator, _lapack_error, _plan
+from damd.mdist import (_advance, _closure_evaluator, _deterministic_inputs, _lapack_error,
+                        _plan)
 from damd.core import empirical_cdf
 from damd.physics import forcing, make_rng
 from scipy.linalg.lapack import dgtsv
@@ -59,6 +61,16 @@ class TestClosureSpec:
     def test_quadrature_needs_covariance(self):
         with pytest.raises(ContractError):
             ClosureSpec("general_quadrature")
+
+    def test_deterministic_inputs_default_is_the_familys_when_read(self):
+        exact = ClosureSpec("exact_deterministic_k")
+        assert exact.deterministic_inputs is None and not _deterministic_inputs(exact)
+        # a copy with another family takes that family's default
+        rate = dataclasses.replace(exact, family="random_constant_k")
+        assert _deterministic_inputs(rate)
+        for family in ("exact_deterministic_k", "random_constant_k"):
+            for given in (True, False):
+                assert _deterministic_inputs(ClosureSpec(family, deterministic_inputs=given)) is given
 
 
 class TestTStar:
@@ -132,6 +144,24 @@ class TestClosureCorrection:
         ts = np.linspace(0.0, 0.6, 13)
         assert np.max(np.abs(closure_correction(quad, phi, ts)
                              - closure_correction(ref, phi, ts))) < 1e-6
+
+    @pytest.mark.parametrize("family, phi", [
+        ("random_constant_k", StatParams(k_mean=0.0, k_std=0.2)),
+        ("exponential_k", StatParams(k_mean=2.0, k_std=0.2, k_corr_len=0.5)),
+    ], ids=["random_constant", "exponential"])
+    def test_zero_alpha_is_the_limit_of_the_general_form(self, family, phi):
+        # alpha = <k> (random constant) or <k> - v / k_corr_len (exponential) is
+        # exactly 0 here, where (exp(alpha t*) - 1) / alpha is 0 / 0; its limit
+        # var t* must agree with the general form at alpha = +-1e-7 to O(alpha t*)
+        spec = ClosureSpec(family)
+        ts = np.array([0.0, 0.05, 0.3, 0.6])
+        limit = closure_correction(spec, phi, ts)
+        var = phi.k_std ** 2
+        assert np.array_equal(limit, var * ts)
+        for alpha in (1e-7, -1e-7):
+            near = closure_correction(spec, phi.replace(k_mean=phi.k_mean + alpha), ts)
+            assert np.max(np.abs(near - limit)) <= var * 1e-7 * 0.6 ** 2, alpha
+            assert not np.array_equal(near, limit), alpha  # the general form, not the limit
 
     def test_quadrature_nugget_matches_white(self):
         phi = StatParams(k_mean=1.0, k_std=0.2)
@@ -376,8 +406,7 @@ class TestCharacteristics:
         # line when x > 2 t and at the inflow, at t - x / 2, otherwise
         cfg = PhysicsConfig(v=2.0)
         grid = Grid2D(0.0, 1.0, 100, 0.0, 1.0, 128, 0.005, 0.45)  # v dt / dx = 1
-        sol = solve_cdf_fv(ClosureSpec("exact_deterministic_k"), PHI, cfg, grid,
-                           deterministic_inputs=False, store="last")
+        sol = solve_cdf_fv(ClosureSpec("exact_deterministic_k"), PHI, cfg, grid, store="last")
         for x in (0.95, 0.5):  # x > v t, and t < x <= v t
             ref = solve_cdf_characteristics(1.0, PHI, cfg, x, 0.45, grid.u_nodes)
             gap = np.max(np.abs(sol.slice_at(x, 0.45).f_values - ref.f_values))
@@ -398,7 +427,7 @@ class TestSolveCdfFv:
 
     def test_invariants_exact_family(self):
         sol = solve_cdf_fv(ClosureSpec("exact_deterministic_k"), PHI,
-                           PhysicsConfig(), self.GRID, deterministic_inputs=False)
+                           PhysicsConfig(), self.GRID)
         assert np.all(sol.snapshots[:, :, 0] == 0.0)
         assert np.all(sol.snapshots[:, :, -1] == 1.0)
         assert sol.min_forward_difference() >= -1e-8
@@ -417,14 +446,14 @@ class TestSolveCdfFv:
         phi = StatParams(k_mean=1.0, k_std=0.0, mu0=0.4, sigma0=0.1,
                          mub=0.5, sigmab=0.1)
         a = solve_cdf_fv(ClosureSpec("exact_deterministic_k"), phi,
-                         PhysicsConfig(), self.GRID, deterministic_inputs=False)
-        b = solve_cdf_fv(ClosureSpec("random_constant_k"), phi,
-                         PhysicsConfig(), self.GRID, deterministic_inputs=False)
+                         PhysicsConfig(), self.GRID)
+        b = solve_cdf_fv(ClosureSpec("random_constant_k", deterministic_inputs=False), phi,
+                         PhysicsConfig(), self.GRID)
         assert np.max(np.abs(a.snapshots - b.snapshots)) < 1e-12
 
     def test_matches_characteristics_within_grid_error(self):
         sol = solve_cdf_fv(ClosureSpec("exact_deterministic_k"), PHI,
-                           PhysicsConfig(), self.GRID, deterministic_inputs=False)
+                           PhysicsConfig(), self.GRID)
         x, t = 0.8, 0.3
         ref = solve_cdf_characteristics(1.0, PHI, PhysicsConfig(), x, t,
                                         self.GRID.u_nodes)
@@ -434,8 +463,7 @@ class TestSolveCdfFv:
     def test_refinement_reduces_error(self):
         def err(grid):
             sol = solve_cdf_fv(ClosureSpec("exact_deterministic_k"), PHI,
-                               PhysicsConfig(), grid, deterministic_inputs=False,
-                               store="last")
+                               PhysicsConfig(), grid, store="last")
             ref = solve_cdf_characteristics(1.0, PHI, PhysicsConfig(), 0.8, 0.3,
                                             grid.u_nodes)
             return cramer_distance(sol.slice_at(0.8, 0.3), ref)
@@ -451,8 +479,8 @@ class TestSolveCdfFv:
         for family in families:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                sol = solve_cdf_fv(ClosureSpec(family), PHI, PhysicsConfig(),
-                                   grid, deterministic_inputs=False)
+                sol = solve_cdf_fv(ClosureSpec(family, deterministic_inputs=False), PHI,
+                                   PhysicsConfig(), grid)
             assert np.all(sol.snapshots[:, :, 0] == 0.0)
             assert np.all(sol.snapshots[:, :, -1] == 1.0)
             assert sol.min_forward_difference() >= -1e-8
@@ -478,10 +506,9 @@ class TestSolveCdfFv:
 
     def test_store_last_matches_store_all(self):
         a = solve_cdf_fv(ClosureSpec("exact_deterministic_k"), PHI,
-                         PhysicsConfig(), self.GRID, deterministic_inputs=False)
+                         PhysicsConfig(), self.GRID)
         b = solve_cdf_fv(ClosureSpec("exact_deterministic_k"), PHI,
-                         PhysicsConfig(), self.GRID, deterministic_inputs=False,
-                         store="last")
+                         PhysicsConfig(), self.GRID, store="last")
         assert np.array_equal(a.snapshots[-1], b.snapshots[0])
         assert a.times[-1] == b.times[0]
 
@@ -504,7 +531,7 @@ class TestSolveCdfFv:
     def test_to_csv_shape(self, tmp_path):
         g = Grid2D(0.0, 1.0, 4, 0.0, 1.0, 4, 0.05, 0.1)
         sol = solve_cdf_fv(ClosureSpec("exact_deterministic_k"), PHI,
-                           PhysicsConfig(), g, deterministic_inputs=False)
+                           PhysicsConfig(), g)
         path = tmp_path / "cdf.csv"
         sol.to_csv(path)
         rows = path.read_text().strip().splitlines()
@@ -531,8 +558,8 @@ class TestCdfCsv:
     @pytest.mark.parametrize("grid, store", [(GRID, "all"), (GRID, "last"), (NEG, "all")],
                              ids=["store-all", "store-last", "u_min-neg"])
     def test_bytes_match_csv_writer_and_f_round_trips(self, tmp_path, grid, store):
-        sol = solve_cdf_fv(ClosureSpec("random_constant_k"), PHI, PhysicsConfig(),
-                           grid, deterministic_inputs=False, store=store)
+        sol = solve_cdf_fv(ClosureSpec("random_constant_k", deterministic_inputs=False), PHI,
+                           PhysicsConfig(), grid, store=store)
         path = tmp_path / "cdf.csv"
         sol.to_csv(path)
         data = path.read_bytes()
@@ -588,17 +615,16 @@ class TestForecastCone:
             assert gap <= 2.0 * (grid.dx + grid.du), (x, gap)
 
 
-def _reference_solve(spec, phi, cfg, grid, deterministic_inputs):
+def _reference_solve(spec, phi, cfg, grid):
     """The grid solve as a plain loop over steps, each step assembling its
     own closure, interpolation and tridiagonal system on all rows:
     (snapshots, warnings) as `solve_cdf_fv(..., store="all")` returns them."""
-    from damd.mdist import MONOTONE_WARN_TOL, _drift_diffusion, resolve_deterministic_inputs
+    from damd.mdist import MONOTONE_WARN_TOL, _drift_diffusion
 
     n_steps = max(1, int(round(grid.t_end / grid.dt)))
     dt = grid.t_end / n_steps
     xs, us, du, n = grid.x_nodes, grid.u_nodes, grid.du, grid.n_u
-    f0, fb = initial_boundary_cdfs(phi, resolve_deterministic_inputs(spec, deterministic_inputs),
-                                   cfg, grid.u_min, grid.u_max)
+    f0, fb = initial_boundary_cdfs(phi, _deterministic_inputs(spec), cfg, grid.u_min, grid.u_max)
 
     def inflow(t, u=us):
         rows = np.broadcast_to(fb(u, t), (np.size(t), us.size)).copy()
@@ -694,15 +720,15 @@ class TestTransportOracle:
     @pytest.mark.parametrize("grid", GRIDS,
                              ids=["cfl-0.5", "cfl-1.5", "cfl-0.75", "u_min-neg", "cfl-2"])
     def test_snapshots_and_warnings_equal_step_loop(self, grid):
-        for spec in self.SPECS:
+        for base in self.SPECS:
             for det in (True, False):
-                snaps, warns = _reference_solve(spec, PHI, PhysicsConfig(), grid, det)
-                sol = solve_cdf_fv(spec, PHI, PhysicsConfig(), grid, deterministic_inputs=det)
+                spec = dataclasses.replace(base, deterministic_inputs=det)
+                snaps, warns = _reference_solve(spec, PHI, PhysicsConfig(), grid)
+                sol = solve_cdf_fv(spec, PHI, PhysicsConfig(), grid)
                 assert np.array_equal(sol.snapshots, snaps), (spec, det)
                 assert sol.warnings == warns, (spec, det)
                 # store="last" advances only the union of the cones of every node
-                last = solve_cdf_fv(spec, PHI, PhysicsConfig(), grid, deterministic_inputs=det,
-                                    store="last")
+                last = solve_cdf_fv(spec, PHI, PhysicsConfig(), grid, store="last")
                 assert np.array_equal(last.snapshots, snaps[-1:]), (spec, det)
                 assert np.array_equal(last.times, sol.times[-1:]), (spec, det)
                 if spec.family == "exact_deterministic_k":
@@ -710,16 +736,16 @@ class TestTransportOracle:
                 # cones of several blocks of several steps on this coarse grid
                 for x in (0.0, 0.35, 0.8, 1.0):
                     for t in (grid.t_end, 0.3):
-                        cone = forecast_slice(PHI, spec, PhysicsConfig(), grid, x, t,
-                                              deterministic_inputs=det)
+                        cone = forecast_slice(PHI, spec, PhysicsConfig(), grid, x, t)
                         ref = sol.slice_at(x, t).f_values
                         assert np.array_equal(cone.f_values, ref), (spec, det, x, t)
 
     def test_monotonicity_warnings_equal_step_loop(self):
         grid = self.GRIDS[-1]
         for spec in self.SPECS[-2:]:
-            _, warns = _reference_solve(spec, PHI, PhysicsConfig(), grid, False)
-            sol = solve_cdf_fv(spec, PHI, PhysicsConfig(), grid, deterministic_inputs=False)
+            spec = dataclasses.replace(spec, deterministic_inputs=False)
+            _, warns = _reference_solve(spec, PHI, PhysicsConfig(), grid)
+            sol = solve_cdf_fv(spec, PHI, PhysicsConfig(), grid)
             assert warns and sol.warnings == warns, spec
 
     def test_forecast_slice_logs_the_cone_warnings(self, caplog):
@@ -727,11 +753,12 @@ class TestTransportOracle:
         caplog.set_level(logging.WARNING, logger="damd.mdist")
         logged = 0
         for spec in self.SPECS[-2:]:
+            spec = dataclasses.replace(spec, deterministic_inputs=False)
             for x, t in ((0.8, 0.6), (0.35, 0.6)):
                 caplog.clear()
-                forecast_slice(PHI, spec, PhysicsConfig(), grid, x, t, deterministic_inputs=False)
-                warns = _advance(spec, PHI, PhysicsConfig(), grid, t, False, "last",
-                                 cone_x=x).warnings
+                forecast_slice(PHI, spec, PhysicsConfig(), grid, x, t)
+                ix = grid.nearest_x_node(x)
+                _, _, warns = _advance(spec, PHI, PhysicsConfig(), grid, t, (ix, ix))
                 assert [r.getMessage() for r in caplog.records] == \
                     [f"forecast_slice at x = {x:g}: {w}" for w in warns], (spec, x)
                 logged += len(warns)
@@ -745,18 +772,18 @@ class TestTransportOracle:
         # C(h) = inf beyond h = 0.15: I(t*) is infinite once t* passes it, the
         # appendix drift and the diffusion then give non-finite values (a NaN
         # covariance makes the drift's departure points NaN instead, see below)
-        spec = ClosureSpec("general_quadrature", quad_points=10,
+        spec = ClosureSpec("general_quadrature", quad_points=10, deterministic_inputs=False,
                            cov_fn=lambda h: np.where(h > 0.15, np.inf, 0.04 * np.exp(-h)))
         grid = self.GRIDS[-1]  # v dt / dx = 2: the cone at (0.8, 0.6) is one block of 6 steps
         with pytest.raises(ArithmeticError) as ref:
-            _reference_solve(spec, PHI, PhysicsConfig(), grid, False)
+            _reference_solve(spec, PHI, PhysicsConfig(), grid)
         message = re.escape(str(ref.value))
         assert str(ref.value) == "non-finite CDF values at t = 0.2"  # the block's second step
         with pytest.raises(ArithmeticError, match=message):
-            solve_cdf_fv(spec, PHI, PhysicsConfig(), grid, deterministic_inputs=False)
+            solve_cdf_fv(spec, PHI, PhysicsConfig(), grid)
         for x in (0.8, 1.0):
             with pytest.raises(ArithmeticError, match=message):
-                forecast_slice(PHI, spec, PhysicsConfig(), grid, x, 0.6, deterministic_inputs=False)
+                forecast_slice(PHI, spec, PhysicsConfig(), grid, x, 0.6)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf, 0 * inf
     @pytest.mark.parametrize("bad, sign", [(np.nan, "appendix"), (np.nan, "main_text"),
@@ -767,16 +794,16 @@ class TestTransportOracle:
         # t = 0.2): the solver reports non-finite values there, not a failed
         # gather
         spec = ClosureSpec("general_quadrature", sign_convention=sign, quad_points=10,
+                           deterministic_inputs=False,
                            cov_fn=lambda h: np.where(h > 0.15, bad, 0.04 * np.exp(-h)))
         grid = self.GRIDS[-1]  # v dt / dx = 2
         message = "^non-finite CDF values at t = 0\\.2$"
         for store in ("all", "last"):
             with pytest.raises(ArithmeticError, match=message):
-                solve_cdf_fv(spec, PHI, PhysicsConfig(), grid, deterministic_inputs=False,
-                             store=store)
+                solve_cdf_fv(spec, PHI, PhysicsConfig(), grid, store=store)
         for x in (0.8, 1.0):
             with pytest.raises(ArithmeticError, match=message):
-                forecast_slice(PHI, spec, PhysicsConfig(), grid, x, 0.6, deterministic_inputs=False)
+                forecast_slice(PHI, spec, PhysicsConfig(), grid, x, 0.6)
 
 
 class TestConePlan:

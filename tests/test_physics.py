@@ -151,6 +151,11 @@ class TestObservations:
         assert all(x < t for (x, t) in locs if x == 0.1)
         assert all(x > t for (x, t) in locs if x == 0.8)
 
+    def test_two_sensor_schedule_times_are_literal(self):
+        # the times as written, not as accumulated by a float range
+        ts = [t for (_, t) in two_sensor_schedule()[::2]]
+        assert ts == [0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45, 0.5, 0.55, 0.6]
+
     def test_noise_statistics(self):
         cfg = PhysicsConfig(k_field=KField.constant(1.0, 200))
         locs = [(0.5, 0.2)] * 2000
@@ -162,27 +167,46 @@ class TestObservations:
 
 class TestSemivariogram:
     def test_constant_field_zero(self):
-        fields = [KField.constant(1.0, 200) for _ in range(3)]
-        lags, gam = empirical_semivariogram(fields, GRID)
+        samples = np.stack([KField.constant(1.0, 200).node_values for _ in range(3)])
+        lags, gam = empirical_semivariogram(samples, GRID)
         assert np.all(gam == 0.0)
 
     def test_white_field_flat_sill(self):
-        fields = [sample_k_field("white", 1.0, 0.4, None, GRID, seed=11, stream=r)
-                  for r in range(100)]
-        lags, gam = empirical_semivariogram(fields, GRID)
+        samples = np.stack([sample_k_field("white", 1.0, 0.4, None, GRID, seed=11,
+                                           stream=r).node_values for r in range(100)])
+        lags, gam = empirical_semivariogram(samples, GRID)
         assert np.all(np.abs(gam - 0.16) < 0.1 * 0.16)
 
     def test_exponential_shape(self):
         lam, var = 0.3, 0.04
-        fields = [sample_k_field("exponential", 1.0, 0.2, lam, GRID, seed=13, stream=r)
-                  for r in range(200)]
-        lags, gam = empirical_semivariogram(fields, GRID)
+        samples = np.stack([sample_k_field("exponential", 1.0, 0.2, lam, GRID, seed=13,
+                                           stream=r).node_values for r in range(200)])
+        lags, gam = empirical_semivariogram(samples, GRID)
         expect = var * (1.0 - np.exp(-lags / lam))
         assert np.max(np.abs(gam - expect)) < 0.15 * var
 
+    def test_linear_ramp_hand_values(self):
+        # 16 cells of width 1/16: separations 1..8 (half the domain) in bins of
+        # 5 cells, 1-4 and 5-8; a ramp of slope a per cell, shifted per
+        # realization, has every increment at separation s equal to a s, and
+        # n - s pairs there, so gamma = a^2 / 2 sum s^2 (n - s) / sum (n - s)
+        grid = Grid2D(0.0, 1.0, 16, 0.0, 1.0, 8, 0.1, 0.1)
+        a = 0.3
+        samples = a * np.arange(16.0) + np.array([[0.0], [1.0], [-2.5]])
+        lags, gam = empirical_semivariogram(samples, grid)
+        assert np.array_equal(lags, [2.5 / 16, 6.5 / 16])  # mean separation times dx
+        sums = [(1 * 15 + 4 * 14 + 9 * 13 + 16 * 12) / 54,   # s = 1..4: 380 / 54
+                (25 * 11 + 36 * 10 + 49 * 9 + 64 * 8) / 38]  # s = 5..8: 1588 / 38
+        assert gam == pytest.approx([0.5 * a * a * m for m in sums], rel=1e-12)
+
     def test_needs_two_samples(self):
         with pytest.raises(ContractError):
-            empirical_semivariogram([KField.constant(1.0, 200)], GRID)
+            empirical_semivariogram(np.ones((1, 200)), GRID)
+
+    def test_needs_one_value_per_cell(self):
+        for shape in ((3, 199), (200,), (3, 200, 1)):
+            with pytest.raises(ContractError):
+                empirical_semivariogram(np.ones(shape), GRID)
 
 
 class TestPhysicalFv:
