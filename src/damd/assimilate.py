@@ -258,9 +258,10 @@ def grid_bayes_k(measurements: MeasurementSet, prior: GaussianDist,
 
 
 def enkf_update(k_members: np.ndarray, pred_obs: np.ndarray, d: np.ndarray,
-                sigma_eps: float, rng: np.random.Generator):
+                sigma_eps, rng: np.random.Generator):
     """Perturbed-observation Kalman update of the augmented state
-    z = [k nodes; predicted observations] using ensemble sample covariances."""
+    z = [k nodes; predicted observations] using ensemble sample covariances,
+    with sigma_eps one noise std for every datum or an array of one per datum."""
     k_members = np.asarray(k_members, dtype=float)
     pred_obs = np.atleast_2d(np.asarray(pred_obs, dtype=float))
     d = np.atleast_1d(np.asarray(d, dtype=float))
@@ -308,7 +309,7 @@ def enkf_assimilate(measurements: MeasurementSet, prior_mean: float,
         cells = [min(int((m.x - grid.x_min) / grid.dx), grid.n_x - 1) for m in batch]
         pred = u[:, cells]
         d = np.array([m.d for m in batch])
-        sigma = batch[0].sigma_eps
+        sigma = np.array([m.sigma_eps for m in batch])
         members, jittered = enkf_update(members, pred, d, sigma, rng)
         trace.append({
             "t": t_j,

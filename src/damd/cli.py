@@ -55,8 +55,7 @@ SCHEMA = {
               "k_corr_len": (float, None)},
     "optimizer": _library(OptimizerConfig, "tol", "max_iters"),
     "enkf": {"n_ens": (int, 50), "seed": (int, 1)},
-    "closure": {"family": (str, "random_constant_k"),
-                **_library(ClosureSpec, "sign_convention")},
+    "closure": {"family": (str, "random_constant_k")},
     "mc": {"n_mc": (int, 1000), "xs": (str, "0.8"), "ts": (str, "0.6"),
            "seed": (int, 1)},
     "fim": {"x": (float, 0.5), "t": (float, 0.3), "coords": (str, "k_mean,k_std"),

@@ -5,9 +5,8 @@ characteristics.
 One evaluator gives the closure: `_closure_evaluator` is the only code that
 tells the families apart, mapping memory horizons t* to the variance
 correction I(t*), with the rate covariance taken along the characteristic at
-lag v tau, and `_drift_diffusion` the only code that reads the sign
-convention, mapping I to the drift and the diffusion. `closure_coefficients`
-and the grid solver's step loop go through both.
+lag v tau, and `_drift_diffusion` maps I to the drift and the diffusion.
+`closure_coefficients` and the grid solver's step loop go through both.
 
 The grid solver (`solve_cdf_fv`) moves F along the characteristics of the x-
 and U-drift, reading it at each step's departure points by linear
@@ -113,6 +112,11 @@ class ClosureSpec:
     """Which closure family supplies the CDF-equation coefficients, and
     whether the initial and inflow states are deterministic.
 
+    I(t*) enters the drift with the sign of the paper's appendix,
+    q2 = (I - <k>) U: along a characteristic in s = ln U the equation is then
+    dF/dt - <k> F_s = I F_ss, whose median is the exact u_origin exp(-<k> T);
+    subtracting U I would move the log-median by twice the integral of I.
+
     general_quadrature integrates exp(<k> tau) * C(v tau) over [0, t*] by
     trapezoid rule; a point mass of the covariance at zero lag (nugget)
     contributes half its weight divided by v: taken at lag v tau it is
@@ -124,7 +128,6 @@ class ClosureSpec:
     """
 
     family: str
-    sign_convention: str = "appendix"
     cov_fn: object | None = None
     nugget: float = 0.0
     quad_points: int = 2000
@@ -133,8 +136,8 @@ class ClosureSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ContractError(f"unknown closure family {self.family!r}")
-        if self.sign_convention not in ("appendix", "main_text"):
-            raise ContractError(f"unknown sign convention {self.sign_convention!r}")
+        if self.quad_points < 1 or not self.nugget >= 0:
+            raise ContractError("quad_points must be >= 1 and nugget >= 0")
         if self.family == "general_quadrature" and self.cov_fn is None and self.nugget == 0.0:
             raise ContractError("general_quadrature needs cov_fn and/or nugget")
 
@@ -220,15 +223,10 @@ def _closure_evaluator(spec: ClosureSpec, phi: StatParams, v: float):
     return lambda ts: var * (np.exp(np.clip(alpha * ts, -_EXP_CLIP, _EXP_CLIP)) - 1.0) / alpha
 
 
-def _drift_diffusion(spec: ClosureSpec, phi: StatParams, corr, U):
+def _drift_diffusion(phi: StatParams, corr, U):
     """The CDF-equation coefficients from the correction corr = I(t*): the
-    drift rate r, with q2 = r U, and the diffusion d22 = max(U^2 I, 0).
-
-    The only place that reads the sign convention: the appendix adds U I to
-    the drift -<k> U, the main text subtracts it.
-    """
-    sign = 1.0 if spec.sign_convention == "appendix" else -1.0
-    return sign * corr - phi.get("k_mean"), np.maximum(U * U * corr, 0.0)
+    drift rate r = I - <k>, with q2 = r U, and the diffusion d22 = max(U^2 I, 0)."""
+    return corr - phi.get("k_mean"), np.maximum(U * U * corr, 0.0)
 
 
 def closure_coefficients(spec: ClosureSpec, phi: StatParams, x, t, U,
@@ -237,7 +235,7 @@ def closure_coefficients(spec: ClosureSpec, phi: StatParams, x, t, U,
     array-valued x and U."""
     U = np.asarray(U, dtype=float)
     ts = t_star(U, np.asarray(x, dtype=float) / v, t, phi.get("k_mean"), u_max)
-    r, d22 = _drift_diffusion(spec, phi, _closure_evaluator(spec, phi, v)(ts), U)
+    r, d22 = _drift_diffusion(phi, _closure_evaluator(spec, phi, v)(ts), U)
     q2, d22 = np.broadcast_arrays(r * U, d22)
     return ClosureCoeffs(v, np.array(q2), np.array(d22))
 
@@ -525,7 +523,7 @@ def _advance(spec: ClosureSpec, phi: StatParams, cfg: PhysicsConfig,
         r, the drift departure points, read between nodes j and j + 1 with
         weight w (the ends outside [U_min, U_max]), and the bands of the
         diffusion solve."""
-        r, d22 = _drift_diffusion(spec, phi, corr(np.minimum(horizons, cap)), U)
+        r, d22 = _drift_diffusion(phi, corr(np.minimum(horizons, cap)), U)
         pos = np.clip((U * np.exp(-r * dt) - grid.u_min) / du, 0.0, grid.n_u)
         # a NaN departure point reads nodes n_u - 1 and n_u with weight NaN:
         # its values go non-finite, which the block check then reports

@@ -363,6 +363,23 @@ class TestEnkfAssimilate:
         _, b = enkf_assimilate(shifted, 2.0, 0.5, None, grid, PhysicsConfig(), 20, seed=3)
         assert np.array_equal(a.members, b.members)
 
+    def test_each_datum_weighed_by_its_own_noise(self):
+        # a datum of noise std 100 beside a sharp one at the same time hardly
+        # moves the posterior, in either order (2.00 and -1.86 when both
+        # took the first datum's noise)
+        cfg = PhysicsConfig(k_field=KField.constant(1.0, 100))
+        good, = generate_observations(cfg, [(0.8, 0.3)], 0.01, noise_seed=0, dx=self.GRID.dx)
+        vague = Measurement(0.1, 0.3, 5.0, 100.0)
+
+        def k_mean(records):
+            _, ens = enkf_assimilate(MeasurementSet(tuple(records)), 2.0, 0.5, None,
+                                     self.GRID, PhysicsConfig(), 200, seed=0)
+            return ens.members.mean()
+
+        alone = k_mean([good])
+        for records in ([good, vague], [vague, good]):
+            assert abs(k_mean(records) - alone) < 0.01, records
+
     def test_rejects_tiny_ensemble(self):
         with pytest.raises(ContractError):
             enkf_assimilate(self._observations(), 2.0, 0.5, None, self.GRID,
