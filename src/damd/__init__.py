@@ -11,11 +11,10 @@ from .physics import (KField, Measurement, MeasurementSet, PhysicsConfig,
                       analytic_state, empirical_semivariogram, forcing,
                       generate_observations, make_rng, sample_k_field,
                       solve_physical_fv, two_sensor_schedule)
-from .assimilate import (AssimilationStep, AssimilationTrace, Ensemble,
-                         OptimizerConfig, damd_assimilate, damd_loss,
-                         enkf_assimilate, enkf_update, exact_bayes_inputs,
-                         grid_bayes_k, minimize_nelder_mead, nelder_mead,
-                         observational_posterior)
+from .assimilate import (AssimilationStep, AssimilationTrace, OptimizerConfig,
+                         damd_assimilate, damd_loss, enkf_assimilate, enkf_update,
+                         exact_bayes_inputs, grid_bayes_k, minimize_nelder_mead,
+                         nelder_mead, observational_posterior)
 from .geometry import (FimMatrix, fim_from_density_fn, fisher_information,
                        kl_gain_profile)
 

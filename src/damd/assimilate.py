@@ -49,19 +49,6 @@ class AssimilationTrace:
         return self.steps[-1].phi_after if self.steps else None
 
 
-@dataclass(frozen=True)
-class Ensemble:
-    members: np.ndarray  # (n_ens, n_x)
-
-    def __post_init__(self):
-        m = np.asarray(self.members, dtype=float)
-        object.__setattr__(self, "members", m)
-        if m.ndim != 2 or m.shape[0] < 2:
-            raise ContractError("ensemble needs >= 2 members")
-        if not np.all(np.isfinite(m)):
-            raise ContractError("ensemble entries must be finite")
-
-
 def observational_posterior(prior_cdf: DiscreteCdf, d: float, sigma_eps: float):
     """Single-point Bayesian update of the state distribution with a Gaussian
     likelihood centered on the datum; returns (density, CDF)."""
@@ -289,7 +276,8 @@ def enkf_assimilate(measurements: MeasurementSet, prior_mean: float,
                     cfg: PhysicsConfig, n_ens: int, seed):
     """Recursive EnKF over the discretized reaction-rate field: at every
     assimilation time each member is re-forecast from t = 0 with its own
-    field, then the batch of simultaneous data updates the field values."""
+    field, then the batch of simultaneous data updates the field values.
+    Returns (trace, members), members the (n_ens, n_x) posterior fields."""
     if n_ens < 2:
         raise ContractError("n_ens must be >= 2")
     kind = "exponential" if prior_corr_len else "white"
@@ -317,4 +305,6 @@ def enkf_assimilate(measurements: MeasurementSet, prior_mean: float,
             "k_std_avg": float(members.std(axis=0, ddof=1).mean()),
             "jittered": jittered,
         })
-    return trace, Ensemble(members)
+    if not np.isfinite(members).all():
+        raise ArithmeticError("non-finite ensemble members")
+    return trace, members

@@ -19,7 +19,7 @@ from .assimilate import (OptimizerConfig, damd_assimilate, enkf_assimilate,
                          exact_bayes_inputs, grid_bayes_k)
 from .core import (ContractError, DegenerateInputError, GaussianDist, Grid2D,
                    empirical_cdf, write_csv)
-from .geometry import fisher_information, kl_gain_profile
+from .geometry import FIM_H_REL, fisher_information, kl_gain_profile
 from .mdist import ClosureSpec, StatParams, forecast_slice, solve_cdf_fv
 from .physics import (SENSOR_TS, SENSOR_XS, KField, PhysicsConfig, characteristic_origin,
                       empirical_semivariogram, forcing, generate_observations,
@@ -59,7 +59,7 @@ SCHEMA = {
     "mc": {"n_mc": (int, 1000), "xs": (str, "0.8"), "ts": (str, "0.6"),
            "seed": (int, 1)},
     "fim": {"x": (float, 0.5), "t": (float, 0.3), "coords": (str, "k_mean,k_std"),
-            "h_rel": (float, 1e-3)},
+            "h_rel": (float, FIM_H_REL)},
 }
 
 
@@ -220,17 +220,16 @@ def cmd_assimilate(cfg, out_dir: Path) -> int:
         write_csv(out_dir / "bayes_posterior.csv", ["K", "density"],
                   zip(post.u_nodes, post.densities))
     else:
-        corr = phi0.k_corr_len
-        trace_e, ens = enkf_assimilate(meas, phi0.get("k_mean"), phi0.get("k_std"),
-                                       corr, grid, phys,
-                                       cfg["enkf"]["n_ens"], cfg["enkf"]["seed"])
+        _, members = enkf_assimilate(meas, phi0.get("k_mean"), phi0.get("k_std"),
+                                     phi0.k_corr_len, grid, phys,
+                                     cfg["enkf"]["n_ens"], cfg["enkf"]["seed"])
         rows = []
-        for i, member in enumerate(ens.members):
+        for i, member in enumerate(members):
             for x, k in zip(grid.x_cells, member):
                 rows.append([i, x, k])
         write_csv(out_dir / "ensemble_posterior.csv", ["member", "x", "k"], rows)
         if spec.family == "exponential_k":
-            lags, gammas = empirical_semivariogram(ens.members, grid)
+            lags, gammas = empirical_semivariogram(members, grid)
             write_csv(out_dir / "variogram.csv", ["lag", "gamma"],
                       zip(lags, gammas))
 

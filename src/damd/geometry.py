@@ -13,6 +13,7 @@ from .physics import PhysicsConfig
 
 FIM_DENSITY_FLOOR = 1e-12
 FIM_SYMMETRY_TOL = 1e-8
+FIM_H_REL = 1e-3  # relative step of the log-density differences
 
 
 @dataclass(frozen=True)
@@ -32,7 +33,7 @@ class FimMatrix:
             raise ContractError("diagonal entries must be nonnegative")
 
 
-def fim_from_density_fn(density_fn, theta: dict, coords, h_rel: float = 1e-3) -> FimMatrix:
+def fim_from_density_fn(density_fn, theta: dict, coords, h_rel: float = FIM_H_REL) -> FimMatrix:
     """Finite-difference Fisher information for a parametrized density.
 
     density_fn maps a coordinate dict to a DiscretePdf on a fixed node set;
@@ -70,7 +71,7 @@ def fim_from_density_fn(density_fn, theta: dict, coords, h_rel: float = 1e-3) ->
 
 def fisher_information(spec: ClosureSpec, phi: StatParams, x: float, t: float,
                        coords, cfg: PhysicsConfig, grid: Grid2D,
-                       h_rel: float = 1e-3) -> FimMatrix:
+                       h_rel: float = FIM_H_REL) -> FimMatrix:
     """Fisher information of the forecast state density at (x, t) with respect
     to the named closure parameters."""
     coords = tuple(coords)

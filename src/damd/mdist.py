@@ -138,7 +138,10 @@ class ClosureSpec:
             raise ContractError(f"unknown closure family {self.family!r}")
         if self.quad_points < 1 or not self.nugget >= 0:
             raise ContractError("quad_points must be >= 1 and nugget >= 0")
-        if self.family == "general_quadrature" and self.cov_fn is None and self.nugget == 0.0:
+        if self.family != "general_quadrature":
+            if self.cov_fn is not None or self.nugget != 0.0:
+                raise ContractError(f"{self.family} reads no cov_fn or nugget")
+        elif self.cov_fn is None and self.nugget == 0.0:
             raise ContractError("general_quadrature needs cov_fn and/or nugget")
 
 
@@ -355,8 +358,8 @@ class _Plan(NamedTuple):
 def _plan(grid: Grid2D, v: float, t_end: float, nodes: tuple | None) -> _Plan:
     """The step plan of `_advance` up to t_end: every row at every step when
     nodes is None, else the union of the backward characteristic cones of the
-    x-nodes nodes[0]..nodes[1] at t_end. Memoized, so the forecasts of one
-    datum build it once; its arrays are read-only.
+    x-nodes nodes[0]..nodes[1] at t_end; no step at t_end = 0. Memoized, so
+    the forecasts of one datum build it once; its arrays are read-only.
 
     Each step s advances rows [lo, hi) into rows [a, b) of its block's
     output. A block is the longest run of steps that advances at most
@@ -369,8 +372,8 @@ def _plan(grid: Grid2D, v: float, t_end: float, nodes: tuple | None) -> _Plan:
     keeps them as a column, `horizons`, and each block the index of each of
     its pairs in that column. A run of one block whose pairs all differ keeps
     the block's horizons in pair order and index None: no gather is needed."""
-    n_steps = max(1, int(round(t_end / grid.dt)))
-    dt = t_end / n_steps
+    n_steps = max(1, int(round(t_end / grid.dt))) if t_end > 0 else 0
+    dt = t_end / n_steps if n_steps else 0.0
     xs, width = grid.x_nodes, grid.n_u + 1
 
     # x-departure point x_i - v dt = x_{i - c}; snap c to an integer when it
@@ -381,7 +384,7 @@ def _plan(grid: Grid2D, v: float, t_end: float, nodes: tuple | None) -> _Plan:
     shift = int(np.floor(c))
     theta = c - shift
     reach = shift + (theta > 0.0)  # node i reads nodes i - reach .. i - shift
-    n_in = min(reach, grid.n_x + 1)
+    n_in = min(max(reach, 1), grid.n_x + 1)  # row 0, at x_min, is always the inflow
     lag = ((xs[:n_in] - grid.x_min) / v)[:, None]
 
     # rows [lo, hi) that each step advances; none above top
@@ -501,6 +504,8 @@ def _advance(spec: ClosureSpec, phi: StatParams, cfg: PhysicsConfig,
     """
     from scipy.linalg.lapack import dgtsv  # here, not at import: it takes about 0.1 s
 
+    if t_end < 0:
+        raise ContractError(f"no forecast before t = 0, got t = {t_end:g}")
     us = grid.u_nodes
     p = _plan(grid, cfg.v, t_end, nodes)
     dt, shift, theta, n_in, lag = p.dt, p.shift, p.theta, p.n_in, p.lag
@@ -639,6 +644,8 @@ def solve_cdf_characteristics(k: float, phi: StatParams, cfg: PhysicsConfig,
     inflow CDF emitted at t - x / v; either way the state argument is
     amplified by the decay accumulated over the travel time min(t, x / v).
     """
+    if t < 0:
+        raise ContractError(f"no forecast before t = 0, got t = {t:g}")
     u = np.asarray(u_nodes, dtype=float)
     f0, fb = initial_boundary_cdfs(phi, deterministic_inputs, cfg, u[0], u[-1])
     from_ic, travel, emitted = characteristic_origin(x, t, cfg.v)
@@ -658,12 +665,13 @@ def forecast_slice(phi: StatParams, spec: ClosureSpec, cfg: PhysicsConfig,
     The grid solve advances only the backward characteristic cone of that
     node (see the module docstring), and each of its warnings is logged as a
     warning of this module's logger. The exact closure is evaluated by
-    characteristics from x_min instead.
+    characteristics from x_min at that node instead.
     """
-    if spec.family == "exact_deterministic_k":
-        return solve_cdf_characteristics(phi.get("k_mean"), phi, cfg, x - grid.x_min, t,
-                                         grid.u_nodes, _deterministic_inputs(spec))
     ix = grid.nearest_x_node(x)
+    if spec.family == "exact_deterministic_k":
+        return solve_cdf_characteristics(phi.get("k_mean"), phi, cfg,
+                                         grid.x_nodes[ix] - grid.x_min, t,
+                                         grid.u_nodes, _deterministic_inputs(spec))
     _, F, warnings = _advance(spec, phi, cfg, grid, t, (ix, ix))
     for message in warnings:
         _log.warning("forecast_slice at x = %g: %s", x, message)

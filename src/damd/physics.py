@@ -14,7 +14,6 @@ import numpy as np
 
 from .core import ContractError, Grid2D, write_csv
 
-COV_JITTER = 1e-10
 # the sensor positions and sampling times of the paper's two-sensor schedule
 SENSOR_XS = (0.1, 0.8)
 SENSOR_TS = (0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45, 0.5, 0.55, 0.6)
@@ -33,24 +32,11 @@ def make_rng(seed, stream: int = 0) -> np.random.Generator:
 class KField:
     """Discretized reaction-rate field: one value per grid cell of width dx."""
 
-    kind: str  # constant | white | exponential
-    mean: float
-    std: float
-    corr_len: float | None
     node_values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "node_values", np.asarray(self.node_values, dtype=float))
-        if self.kind not in ("constant", "white", "exponential"):
-            raise ContractError(f"unknown field kind {self.kind!r}")
-        if self.std < 0:
-            raise ContractError("std must be nonnegative")
-        if self.kind == "exponential" and not (self.corr_len and self.corr_len > 0):
-            raise ContractError("exponential field needs corr_len > 0")
 
     @classmethod
     def constant(cls, k: float, n_x: int) -> "KField":
-        return cls("constant", k, 0.0, None, np.full(n_x, float(k)))
+        return cls(np.full(n_x, float(k)))
 
 
 @dataclass(frozen=True)
@@ -167,7 +153,10 @@ def sample_k_field(kind, mean, std, corr_len, grid: Grid2D, seed, stream: int = 
 
     constant: a single Gaussian draw; white: i.i.d. per-cell draws with
     pointwise variance std**2; exponential: joint Gaussian with covariance
-    std**2 exp(-|x - x'| / corr_len) via Cholesky (diagonal jitter 1e-10).
+    std**2 exp(-|x - x'| / corr_len). On cells spaced dx apart that is the
+    AR(1) chain x_i = rho x_{i-1} + std sqrt(1 - rho^2) z_i with
+    rho = exp(-dx / corr_len), started at std z_0: the Cholesky factor of the
+    covariance applied to the normals z, in O(n_x).
     """
     rng = make_rng(seed, stream)
     n = grid.n_x
@@ -180,17 +169,16 @@ def sample_k_field(kind, mean, std, corr_len, grid: Grid2D, seed, stream: int = 
     elif kind == "exponential":
         if not (corr_len and corr_len > 0):
             raise ContractError("exponential field needs corr_len > 0")
-        xs = grid.x_cells
-        cov = std ** 2 * np.exp(-np.abs(xs[:, None] - xs[None, :]) / corr_len)
-        cov[np.diag_indices(n)] += COV_JITTER
-        try:
-            chol = np.linalg.cholesky(cov)
-        except np.linalg.LinAlgError as exc:
-            raise ArithmeticError("covariance not positive definite") from exc
-        vals = mean + chol @ rng.standard_normal(n)
+        z = rng.standard_normal(n).tolist()
+        rho = float(np.exp(-grid.dx / corr_len))
+        innov = std * float(np.sqrt(-np.expm1(-2.0 * grid.dx / corr_len)))  # std sqrt(1 - rho^2), exact as rho -> 1
+        chain = [std * z[0]]
+        for zi in z[1:]:
+            chain.append(rho * chain[-1] + innov * zi)
+        vals = mean + np.array(chain)
     else:
         raise ContractError(f"unknown field kind {kind!r}")
-    return KField(kind, mean, std, corr_len, vals)
+    return KField(vals)
 
 
 def generate_observations(cfg: PhysicsConfig, locations, sigma_eps, noise_seed,

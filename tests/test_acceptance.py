@@ -171,9 +171,9 @@ def _criterion_4_case(kind, truth_moments, corr_len, sigma_eps, phi0, spec, seed
                                 OptimizerConfig())
         err_damd = abs(trace.phi_final.get("k_mean") - kbar)
         # the EnKF gets the same prior as DA-MD, including its correlation length
-        _, ens = enkf_assimilate(ms, phi0.get("k_mean"), phi0.get("k_std"),
-                                 phi0.k_corr_len, grid, PhysicsConfig(), 50, seed)
-        err_enkf = abs(float(ens.members.mean()) - kbar)
+        _, members = enkf_assimilate(ms, phi0.get("k_mean"), phi0.get("k_std"),
+                                     phi0.k_corr_len, grid, PhysicsConfig(), 50, seed)
+        err_enkf = abs(float(members.mean()) - kbar)
         wins += err_damd < err_enkf
     return wins
 

@@ -302,6 +302,17 @@ class TestEnkfUpdate:
         k_new, _ = enkf_update(k, pred, np.array([5.0]), 1e6, make_rng(33, 1))
         assert np.max(np.abs(k_new - k)) < 1e-3
 
+    def test_singular_innovation_retried_with_jitter(self):
+        # equal predictions and noiseless data make the innovation covariance
+        # zero; the retry jitters its diagonal, and predictions that do not
+        # vary with the members leave them where they are
+        k = make_rng(37, 0).standard_normal((20, 3))
+        pred = np.full((20, 2), 0.5)
+        k_new, jittered = enkf_update(k, pred, np.array([0.4, 0.6]), 0.0, make_rng(37, 1))
+        assert jittered
+        assert np.all(np.isfinite(k_new))
+        assert np.array_equal(k_new, k)
+
     def test_mean_unbiased_over_replicates(self):
         # with the datum at the prior predictive mean, the analysis mean shift
         # is zero in expectation over the observation perturbations
@@ -330,10 +341,10 @@ class TestEnkfAssimilate:
 
     def test_trace_and_shapes(self):
         ms = self._observations()
-        trace, ens = enkf_assimilate(ms, 2.0, 0.5, None, self.GRID,
-                                     PhysicsConfig(), 30, seed=0)
+        trace, members = enkf_assimilate(ms, 2.0, 0.5, None, self.GRID,
+                                         PhysicsConfig(), 30, seed=0)
         assert len(trace) == 10  # distinct assimilation times
-        assert ens.members.shape == (30, self.GRID.n_x)
+        assert members.shape == (30, self.GRID.n_x)
         assert [r["t"] for r in trace] == sorted(r["t"] for r in trace)
 
     def test_deterministic_given_seed(self):
@@ -342,7 +353,7 @@ class TestEnkfAssimilate:
                                20, seed=4)
         _, b = enkf_assimilate(ms, 2.0, 0.5, None, self.GRID, PhysicsConfig(),
                                20, seed=4)
-        assert np.array_equal(a.members, b.members)
+        assert np.array_equal(a, b)
 
     def test_spread_contracts(self):
         ms = self._observations()
@@ -361,7 +372,7 @@ class TestEnkfAssimilate:
         grid = Grid2D(1.0, 2.0, 100, 0.0, 1.0, 64, 0.01, 0.6)
         _, a = enkf_assimilate(ms, 2.0, 0.5, None, self.GRID, PhysicsConfig(), 20, seed=3)
         _, b = enkf_assimilate(shifted, 2.0, 0.5, None, grid, PhysicsConfig(), 20, seed=3)
-        assert np.array_equal(a.members, b.members)
+        assert np.array_equal(a, b)
 
     def test_each_datum_weighed_by_its_own_noise(self):
         # a datum of noise std 100 beside a sharp one at the same time hardly
@@ -372,13 +383,20 @@ class TestEnkfAssimilate:
         vague = Measurement(0.1, 0.3, 5.0, 100.0)
 
         def k_mean(records):
-            _, ens = enkf_assimilate(MeasurementSet(tuple(records)), 2.0, 0.5, None,
-                                     self.GRID, PhysicsConfig(), 200, seed=0)
-            return ens.members.mean()
+            _, members = enkf_assimilate(MeasurementSet(tuple(records)), 2.0, 0.5, None,
+                                         self.GRID, PhysicsConfig(), 200, seed=0)
+            return members.mean()
 
         alone = k_mean([good])
         for records in ([good, vague], [vague, good]):
             assert abs(k_mean(records) - alone) < 0.01, records
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_non_finite_members_are_a_numerical_error(self):
+        datum = Measurement(0.8, 0.3, np.inf, 0.01)
+        with pytest.raises(ArithmeticError):
+            enkf_assimilate(MeasurementSet((datum,)), 2.0, 0.5, None, self.GRID,
+                            PhysicsConfig(), 20, seed=0)
 
     def test_rejects_tiny_ensemble(self):
         with pytest.raises(ContractError):

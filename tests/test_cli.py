@@ -232,6 +232,27 @@ class TestAssimilate:
         assert resolved["noise"]["seed"] == 7
         assert resolved["truth"]["seed"] == 7
 
+    def test_zero_time_data_and_negative_times(self, tmp_path, capsys):
+        # a datum at t = 0 reads the initial field; one before t = 0 is a
+        # contract error (exit 1), not a traceback
+        base = WHITE_INI.replace("xs = 0.8", "xs = 0.0,0.5")
+        for ts, rc in (("0.0,0.3", 0), ("-0.1,0.3", 1)):
+            p = write(tmp_path, "c.ini", base.replace("ts = 0.15,0.3", f"ts = {ts}"))
+            assert main(["assimilate", "--mode", "k_const", "--config", str(p),
+                         "--out-dir", str(tmp_path / ts)]) == rc, ts
+        assert "error:" in capsys.readouterr().err
+        rows = (tmp_path / "0.0,0.3" / "posterior_params.csv").read_text().splitlines()
+        assert len(rows) == 1 + 4
+
+    def test_unexplainable_datum_is_a_numerical_failure(self, tmp_path, capsys):
+        # noise std 1e-4 on U-nodes 1/32 apart: the likelihood of the datum
+        # underflows at every node, so the prior slice cannot explain it
+        p = write(tmp_path, "c.ini", WHITE_INI.replace("sigma_eps = 0.02", "sigma_eps = 1e-4"))
+        rc = main(["assimilate", "--mode", "k_const", "--config", str(p),
+                   "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert "numerical failure" in capsys.readouterr().err
+
 
 class TestVerifyMc:
     def test_artifacts_and_agreement(self, tmp_path, capsys):

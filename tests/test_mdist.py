@@ -71,6 +71,14 @@ class TestClosureSpec:
         with pytest.raises(ContractError):
             ClosureSpec("general_quadrature", cov_fn=lambda h: 0.04 * np.exp(-h), **bad)
 
+    @pytest.mark.parametrize("family", ["exact_deterministic_k", "random_constant_k",
+                                        "white_noise_k", "exponential_k"])
+    @pytest.mark.parametrize("unread", [{"nugget": 0.5}, {"cov_fn": lambda h: 0.04 * np.exp(-h)}],
+                             ids=["nugget", "cov_fn"])
+    def test_rejects_covariance_the_family_does_not_read(self, family, unread):
+        with pytest.raises(ContractError):
+            ClosureSpec(family, **unread)
+
     def test_deterministic_inputs_default_is_the_familys_when_read(self):
         exact = ClosureSpec("exact_deterministic_k")
         assert exact.deterministic_inputs is None and not _deterministic_inputs(exact)
@@ -241,7 +249,8 @@ class TestClosureCoefficients:
                                  / (eps * np.sqrt(2.0 * np.pi)))
             assert d22(narrow) == pytest.approx(0.01, rel=1e-3)
             return
-        spec = ClosureSpec(family, cov_fn=lambda h: 0.04 * np.exp(-h / 0.25))
+        spec = (ClosureSpec(family) if family == "exponential_k"
+                else ClosureSpec(family, cov_fn=lambda h: 0.04 * np.exp(-h / 0.25)))
         alpha = 1.0 - 2.0 / 0.25
         expect = 0.04 * (np.exp(alpha * 0.3) - 1.0) / alpha
         rel = 1e-12 if family == "exponential_k" else 1e-6
@@ -621,6 +630,55 @@ class TestForecastCone:
             median = np.interp(0.5, F, grid.u_nodes)
             exact = cfg.u0 * np.exp(-phi.k_mean * t)
             assert abs(median - exact) < grid.du, (t, (median - exact) / grid.du)
+
+    def test_exact_closure_reads_the_nearest_node(self):
+        # 0.1024 is nearest node 0.1, as in every other family (the
+        # characteristics at 0.1024 itself are 0.0059 away in sup-norm)
+        spec = ClosureSpec("exact_deterministic_k")
+        off, node = (forecast_slice(PHI, spec, PhysicsConfig(), self.PAPER, x, 0.6)
+                     for x in (0.1024, 0.1))
+        assert np.array_equal(off.f_values, node.f_values)
+
+
+class TestForecastTimes:
+    """A forecast at t = 0 is the initial field, and none exists before."""
+
+    PAPER = TestForecastCone.PAPER
+    FAMILIES = ["exact_deterministic_k", "random_constant_k", "white_noise_k", "exponential_k"]
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_zero_time_is_the_initial_field(self, family):
+        spec, grid, us = ClosureSpec(family), self.PAPER, self.PAPER.u_nodes
+        f0, fb = initial_boundary_cdfs(PHI, _deterministic_inputs(spec), PhysicsConfig(),
+                                       grid.u_min, grid.u_max)
+        initial = np.tile(f0(us), (grid.n_x + 1, 1))
+        initial[0] = fb(us, 0.0)  # row 0, at x_min, is the inflow
+        initial[:, 0], initial[:, -1] = 0.0, 1.0
+        for store in ("all", "last"):
+            sol = solve_cdf_fv(spec, PHI, PhysicsConfig(), grid, t_end=0.0, store=store)
+            assert np.array_equal(sol.times, [0.0])
+            assert np.array_equal(sol.snapshots, initial[None]), store
+        for x in (0.0, 0.5):
+            got = forecast_slice(PHI, spec, PhysicsConfig(), grid, x, 0.0)
+            assert np.array_equal(got.f_values, sol.slice_at(x, 0.0).f_values), x
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_negative_time_is_a_contract_error(self, family):
+        spec = ClosureSpec(family)
+        with pytest.raises(ContractError):
+            forecast_slice(PHI, spec, PhysicsConfig(), self.PAPER, 0.0, -0.1)
+        with pytest.raises(ContractError):
+            solve_cdf_fv(spec, PHI, PhysicsConfig(), self.PAPER, t_end=-0.1)
+
+    def test_step_that_snaps_to_no_shift_keeps_the_inflow(self):
+        # v dt / dx = 2e-10 snaps to 0: no row moves in x, yet row 0 still
+        # reads the inflow at t
+        spec, grid, t = ClosureSpec("random_constant_k"), self.PAPER, 1e-12
+        sol = solve_cdf_fv(spec, PHI, PhysicsConfig(), grid, t_end=t)
+        start, end = sol.snapshots
+        _, fb = initial_boundary_cdfs(PHI, True, PhysicsConfig(), grid.u_min, grid.u_max)
+        assert np.array_equal(end[0, 1:-1], fb(grid.u_nodes, t)[1:-1])
+        assert np.max(np.abs(end - start)) < 1e-6
 
 
 def _reference_solve(spec, phi, cfg, grid):

@@ -112,6 +112,22 @@ class TestSampleKField:
             den += np.sum(v * v)
         assert abs(num / den - np.exp(-GRID.dx / lam)) < 0.05
 
+    @pytest.mark.parametrize("lam", [0.01, 0.3, 1.0])
+    def test_exponential_is_the_cholesky_draw(self, lam):
+        # on cells spaced dx apart the exponential covariance is an AR(1)
+        # chain, whose recursion is its Cholesky factor L applied to the
+        # normals z: the draw is mean + L z, L of the covariance itself
+        grid = Grid2D(0.0, 1.0, 50, 0.0, 1.0, 8, 0.01, 0.1)
+        kf = sample_k_field("exponential", 1.0, 0.2, lam, grid, seed=5, stream=3)
+        xs = grid.x_cells
+        chol = np.linalg.cholesky(0.04 * np.exp(-np.abs(xs[:, None] - xs[None, :]) / lam))
+        z = make_rng(5, 3).standard_normal(grid.n_x)
+        assert np.max(np.abs(kf.node_values - (1.0 + chol @ z))) < 1e-12
+
+    def test_exponential_zero_std_is_constant(self):
+        kf = sample_k_field("exponential", 1.5, 0.0, 0.3, GRID, seed=0)
+        assert np.all(kf.node_values == 1.5)
+
     def test_constant_single_draw(self):
         kf = sample_k_field("constant", 2.0, 0.5, None, GRID, seed=9)
         assert np.all(kf.node_values == kf.node_values[0])
