@@ -157,10 +157,10 @@ def damd_loss(phi: StatParams, spec: ClosureSpec, cfg: PhysicsConfig,
     return cramer_distance(target_cdf, forecast_slice(phi, spec, cfg, grid, m.x, m.t))
 
 
-def _default_coords(spec: ClosureSpec, m, v: float):
+def _default_coords(spec: ClosureSpec, m):
     if spec.family == "exact_deterministic_k":
         # each datum informs the region its characteristic originates from
-        from_ic, _, _ = characteristic_origin(m.x, m.t, v)
+        from_ic, _, _ = characteristic_origin(m.x, m.t)
         return ("mu0", "sigma0") if from_ic else ("mub", "sigmab")
     if spec.family == "exponential_k":
         return ("k_mean", "k_std", "k_corr_len")
@@ -185,7 +185,7 @@ def damd_assimilate(measurements: MeasurementSet, phi0: StatParams,
     for idx, m in enumerate(measurements):
         prior_slice = forecast_slice(phi, spec, cfg, grid, m.x, m.t)
         _, target = observational_posterior(prior_slice, m.d, m.sigma_eps)
-        active = coords if coords is not None else _default_coords(spec, m, cfg.v)
+        active = coords if coords is not None else _default_coords(spec, m)
 
         def objective(p):
             if p == phi:
@@ -205,14 +205,14 @@ def exact_bayes_inputs(measurements: MeasurementSet, prior0: GaussianDist,
     """Conjugate Gaussian posteriors for the uncertain initial and boundary
     states under the deterministic-rate model.
 
-    A datum with x > v t observes u = U0 * exp(-k t); one with x <= v t
-    observes u = (Ub + s(t - x / v)) * exp(-k x / v).  Both maps are linear in
-    the unknown, so the Gaussian prior stays Gaussian.
+    A datum with x > t observes u = U0 * exp(-k t); one with x <= t observes
+    u = (Ub + s(t - x)) * exp(-k x).  Both maps are linear in the unknown, so
+    the Gaussian prior stays Gaussian.
     """
     prec0, num0 = 1.0 / prior0.std ** 2, prior0.mean / prior0.std ** 2
     precb, numb = 1.0 / priorb.std ** 2, priorb.mean / priorb.std ** 2
     for m in measurements:
-        from_ic, travel, emitted = characteristic_origin(m.x, m.t, cfg.v)
+        from_ic, travel, emitted = characteristic_origin(m.x, m.t)
         a = np.exp(-k * travel)
         if from_ic:
             prec0 += a * a / m.sigma_eps ** 2
@@ -233,7 +233,7 @@ def grid_bayes_k(measurements: MeasurementSet, prior: GaussianDist,
     K = np.asarray(k_nodes, dtype=float)
     logp = -0.5 * ((K - prior.mean) / prior.std) ** 2
     for m in measurements:
-        from_ic, travel, emitted = characteristic_origin(m.x, m.t, cfg.v)
+        from_ic, travel, emitted = characteristic_origin(m.x, m.t)
         u = (cfg.u0 if from_ic else forcing(emitted, cfg)) * np.exp(-K * travel)
         logp = logp - 0.5 * ((m.d - u) / m.sigma_eps) ** 2
     logp -= np.max(logp)

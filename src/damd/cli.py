@@ -42,7 +42,7 @@ SCHEMA = {
     "domain": {"L": (float, 1.0), "u_min": (float, 0.0), "u_max": (float, 1.0),
                "n_x": (int, 200), "n_u": (int, 128), "dt": (float, 0.01),
                "t_end": (float, 0.6)},
-    "physics": _library(PhysicsConfig, "v", "u0", "ub", "a", "nu", "phase"),
+    "physics": _library(PhysicsConfig, "u0", "ub", "a", "nu", "phase"),
     "truth": {"kind": (str, "constant"), "k_mean": (float, 1.0),
               "k_std": (float, 0.0), "k_corr_len": (float, 0.0),
               "u0": (float, None), "ub": (float, None), "seed": (int, 1)},
@@ -269,7 +269,7 @@ def cmd_verify_mc(cfg, out_dir: Path) -> int:
         # the exact state under a constant rate k, as in analytic_state: the
         # initial state or the inflow its characteristic carries, decayed
         # for the time it travelled
-        from_ic, travel, emitted = characteristic_origin(x, t, phys.v)
+        from_ic, travel, emitted = characteristic_origin(x, t)
         src = phys.u0 if from_ic else forcing(emitted, phys)
         for fam, ks in samples.items():
             c = empirical_cdf(src * np.exp(-ks * travel), grid.u_nodes)

@@ -5,7 +5,7 @@ characteristics.
 One evaluator gives the closure: `_closure_evaluator` is the only code that
 tells the families apart, mapping memory horizons t* to the variance
 correction I(t*), with the rate covariance taken along the characteristic at
-lag v tau, and `_drift_diffusion` maps I to the drift and the diffusion.
+lag tau, and `_drift_diffusion` maps I to the drift and the diffusion.
 `closure_coefficients` and the grid solver's step loop go through both.
 
 The grid solver (`solve_cdf_fv`) moves F along the characteristics of the x-
@@ -14,7 +14,7 @@ interpolation, and takes the U-diffusion by backward Euler. Interpolation
 weights are convex and the diffusion solve is an M-matrix system, so every
 step keeps each U-slice a monotone CDF with exact boundary rows.
 
-Only the x-shift couples x-nodes: with c = v dt / dx, node i reads nodes
+Only the x-shift couples x-nodes: with c = dt / dx, node i reads nodes
 i - floor(c) and, when c is fractional, i - floor(c) - 1 of the step before;
 the U-drift, the closure and the U-diffusion act on one x-node at a time. So
 the U-slice at one node after n steps depends only on its backward
@@ -37,7 +37,7 @@ has its own horizon, and a transport loop then does per step only the
 x-shift, two gathers and one `dgtsv` call. The block's output is then
 checked once for non-finite values and once for monotonicity. The geometry
 of steps, blocks, runs and horizons depends on no closure parameter: `_plan`
-builds it once per (grid, v, t_end, nodes wanted) and memoizes it, with the
+builds it once per (grid, t_end, nodes wanted) and memoizes it, with the
 U-row ln(u_max / U), so the many forecasts of one datum share it and the cap
 is one division by <k> per call."""
 
@@ -117,10 +117,9 @@ class ClosureSpec:
     dF/dt - <k> F_s = I F_ss, whose median is the exact u_origin exp(-<k> T);
     subtracting U I would move the log-median by twice the integral of I.
 
-    general_quadrature integrates exp(<k> tau) * C(v tau) over [0, t*] by
+    general_quadrature integrates exp(<k> tau) * C(tau) over [0, t*] by
     trapezoid rule; a point mass of the covariance at zero lag (nugget)
-    contributes half its weight divided by v: taken at lag v tau it is
-    nugget delta(tau) / v, and the integration range is one-sided.
+    contributes half its weight, since the integration range is one-sided.
 
     deterministic_inputs None takes the family's default when read (see
     `_deterministic_inputs`), so a copy with another family takes that
@@ -147,15 +146,14 @@ class ClosureSpec:
 
 @dataclass(frozen=True)
 class ClosureCoeffs:
-    q1: float
     q2: np.ndarray
     d22: np.ndarray
 
 
 def t_star(U, x, t, k_mean, u_max):
     """Memory horizon min{t, x, <k>^-1 ln(u_max / U)}, with x the distance
-    from the inflow boundary at x_min divided by the speed v: the time the
-    backward characteristic takes to reach the inflow.
+    from the inflow boundary at x_min: the time the backward characteristic
+    takes to reach the inflow.
 
     The log term diverges as U -> 0 and is skipped when <k> <= 0, where the
     corresponding backward characteristic never exits through U = u_max.
@@ -181,15 +179,15 @@ def _cap(log_ratio, k_mean):
     return np.full_like(log_ratio, np.inf)
 
 
-def _closure_evaluator(spec: ClosureSpec, phi: StatParams, v: float):
+def _closure_evaluator(spec: ClosureSpec, phi: StatParams):
     """I(ts), the variance correction at the memory horizons ts (see
     `t_star`) that enters both the drift and the diffusion, elementwise.
 
-    I(t*) integrates exp(<k> tau) C(v tau) over [0, t*]: in time tau the
-    characteristic of speed v covers the lag v tau, so the exponential
-    covariance k_std^2 exp(-h / k_corr_len) gives alpha = <k> - v / k_corr_len,
-    and a point mass sigma^2 delta(h) (white noise, the nugget) the weight
-    0.5 sigma^2 / v.
+    I(t*) integrates exp(<k> tau) C(tau) over [0, t*]: in time tau the
+    characteristic covers the lag tau, so the exponential covariance
+    k_std^2 exp(-h / k_corr_len) gives alpha = <k> - 1 / k_corr_len, and a
+    point mass sigma^2 delta(h) (white noise, the nugget) the weight
+    0.5 sigma^2.
 
     The only place where the closure families differ.
     """
@@ -198,7 +196,7 @@ def _closure_evaluator(spec: ClosureSpec, phi: StatParams, v: float):
     k = phi.get("k_mean")
     var = phi.get("k_std") ** 2
     if spec.family == "white_noise_k":
-        return lambda ts: np.where(ts > 0, 0.5 * var / v, 0.0)
+        return lambda ts: np.where(ts > 0, 0.5 * var, 0.0)
     if spec.family == "general_quadrature":
         def quadrature(ts):
             ts = np.asarray(ts, dtype=float)
@@ -212,15 +210,15 @@ def _closure_evaluator(spec: ClosureSpec, phi: StatParams, v: float):
                 for lo in range(0, flat.size, chunk):
                     tau = flat[lo:lo + chunk, None] * w  # each point uses its own [0, t*]
                     integrand = (np.exp(np.clip(k * tau, -_EXP_CLIP, _EXP_CLIP))
-                                 * spec.cov_fn(v * tau))
+                                 * spec.cov_fn(tau))
                     res[lo:lo + chunk] = np.trapezoid(integrand, tau, axis=-1)
                 out = res.reshape(ts.shape)
             if spec.nugget:
-                out = out + np.where(ts > 0, 0.5 * spec.nugget / v, 0.0)
+                out = out + np.where(ts > 0, 0.5 * spec.nugget, 0.0)
             return out
 
         return quadrature
-    alpha = k if spec.family == "random_constant_k" else k - v / phi.get("k_corr_len")
+    alpha = k if spec.family == "random_constant_k" else k - 1.0 / phi.get("k_corr_len")
     if abs(alpha) < _ALPHA_LIMIT:  # the removable limit of (exp(alpha t*) - 1) / alpha
         return lambda ts: var * ts
     return lambda ts: var * (np.exp(np.clip(alpha * ts, -_EXP_CLIP, _EXP_CLIP)) - 1.0) / alpha
@@ -233,14 +231,14 @@ def _drift_diffusion(phi: StatParams, corr, U):
 
 
 def closure_coefficients(spec: ClosureSpec, phi: StatParams, x, t, U,
-                         u_max: float = 1.0, v: float = 1.0) -> ClosureCoeffs:
+                         u_max: float = 1.0) -> ClosureCoeffs:
     """Drift and diffusion of the CDF equation at (x, t, U), broadcasting over
     array-valued x and U."""
     U = np.asarray(U, dtype=float)
-    ts = t_star(U, np.asarray(x, dtype=float) / v, t, phi.get("k_mean"), u_max)
-    r, d22 = _drift_diffusion(phi, _closure_evaluator(spec, phi, v)(ts), U)
+    ts = t_star(U, x, t, phi.get("k_mean"), u_max)
+    r, d22 = _drift_diffusion(phi, _closure_evaluator(spec, phi)(ts), U)
     q2, d22 = np.broadcast_arrays(r * U, d22)
-    return ClosureCoeffs(v, np.array(q2), np.array(d22))
+    return ClosureCoeffs(np.array(q2), np.array(d22))
 
 
 def _trunc_gauss_cdf(u, mean, std, u_min, u_max):
@@ -339,12 +337,12 @@ def _lapack_error(info: int) -> Exception:
 
 class _Plan(NamedTuple):
     """The geometry of `_advance`: everything that depends on the grid, the
-    speed v, the end time and the nodes wanted, and on no closure parameter."""
+    end time and the nodes wanted, and on no closure parameter."""
 
     n_steps: int
     dt: float
     shift: int       # node i reads nodes i - shift and, if theta > 0, i - shift - 1
-    theta: float     # the fractional part of c = v dt / dx
+    theta: float     # the fractional part of c = dt / dx
     n_in: int        # rows fed by the inflow
     lag: np.ndarray  # (n_in, 1): how long ago their characteristics crossed x_min
     top: int         # the highest row advanced
@@ -355,7 +353,7 @@ class _Plan(NamedTuple):
 
 
 @functools.lru_cache(maxsize=128)
-def _plan(grid: Grid2D, v: float, t_end: float, nodes: tuple | None) -> _Plan:
+def _plan(grid: Grid2D, t_end: float, nodes: tuple | None) -> _Plan:
     """The step plan of `_advance` up to t_end: every row at every step when
     nodes is None, else the union of the backward characteristic cones of the
     x-nodes nodes[0]..nodes[1] at t_end; no step at t_end = 0. Memoized, so
@@ -376,16 +374,16 @@ def _plan(grid: Grid2D, v: float, t_end: float, nodes: tuple | None) -> _Plan:
     dt = t_end / n_steps if n_steps else 0.0
     xs, width = grid.x_nodes, grid.n_u + 1
 
-    # x-departure point x_i - v dt = x_{i - c}; snap c to an integer when it
+    # x-departure point x_i - dt = x_{i - c}; snap c to an integer when it
     # is one up to rounding, so that the shift is exact
-    c = v * dt / grid.dx
+    c = dt / grid.dx
     if abs(c - round(c)) <= 1e-9 * max(1.0, c):
         c = float(round(c))
     shift = int(np.floor(c))
     theta = c - shift
     reach = shift + (theta > 0.0)  # node i reads nodes i - reach .. i - shift
     n_in = min(max(reach, 1), grid.n_x + 1)  # row 0, at x_min, is always the inflow
-    lag = ((xs[:n_in] - grid.x_min) / v)[:, None]
+    lag = (xs[:n_in] - grid.x_min)[:, None]
 
     # rows [lo, hi) that each step advances; none above top
     if nodes is None:
@@ -397,7 +395,7 @@ def _plan(grid: Grid2D, v: float, t_end: float, nodes: tuple | None) -> _Plan:
         lo = np.maximum(first - reach * left, 0).tolist()
         hi = np.maximum(top + 1 - shift * left, 0).tolist()
     counts = [h - l for l, h in zip(lo, hi)]
-    travel = (xs[:top + 1, None] - grid.x_min) / v  # from the inflow at x_min
+    travel = xs[:top + 1, None] - grid.x_min  # from the inflow at x_min
 
     blocks = []
     s0 = 0
@@ -445,12 +443,12 @@ def solve_cdf_fv(spec: ClosureSpec, phi: StatParams, cfg: PhysicsConfig,
 
     Each step of length dt
       - shifts F in x: the value at x_i is read at the departure point
-        x_i - v dt by linear interpolation between the two nodes around it
-        (an exact shift when v dt / dx is an integer, explicit upwind when it
+        x_i - dt by linear interpolation between the two nodes around it
+        (an exact shift when dt / dx is an integer, explicit upwind when it
         is below one); a departure point upstream of x_min reads the inflow
-        CDF at the time t - (x_i - x_min) / v its characteristic crossed x_min,
+        CDF at the time t - (x_i - x_min) its characteristic crossed x_min,
         at the state from which the drift step below carries it along the
-        U-drift for (x_i - x_min) / v rather than dt;
+        U-drift for x_i - x_min rather than dt;
       - moves F along the drift q2 = r U, which is linear in U, so its
         characteristic over one step is U exp(r dt): F is read at
         U exp(-r dt), again by linear interpolation, with r taken at the
@@ -485,14 +483,14 @@ def _advance(spec: ClosureSpec, phi: StatParams, cfg: PhysicsConfig,
     read at t_end are, and F holds the last field, rows 0..nodes[1]. The
     backward characteristic cone of node ix holds the rows
     [ix - reach m, ix - shift m] at m steps before t_end, where shift =
-    floor(c), reach = shift + [c fractional] and c = v dt / dx, clipped at
+    floor(c), reach = shift + [c fractional] and c = dt / dx, clipped at
     row 0 and empty while the characteristic of ix is still upstream of
     x_min; the union of the cones of every node holds rows [0, n_x - shift m].
     Each row read by a row of a cone is in the cone one step earlier, so the
     rows wanted at t_end equal the full-field solve's. Every row that is
     computed gets the same checks as in the full field, and only those rows.
 
-    The steps run in the blocks of `_plan`, memoized per (grid, v, t_end,
+    The steps run in the blocks of `_plan`, memoized per (grid, t_end,
     nodes wanted), so repeated forecasts of one node only look it up. A
     coefficient pass evaluates what does not depend on F once per run of
     blocks, on the run's distinct memory horizons; each block gathers its
@@ -507,7 +505,7 @@ def _advance(spec: ClosureSpec, phi: StatParams, cfg: PhysicsConfig,
     if t_end < 0:
         raise ContractError(f"no forecast before t = 0, got t = {t_end:g}")
     us = grid.u_nodes
-    p = _plan(grid, cfg.v, t_end, nodes)
+    p = _plan(grid, t_end, nodes)
     dt, shift, theta, n_in, lag = p.dt, p.shift, p.theta, p.n_in, p.lag
     du, width = grid.du, us.size
 
@@ -521,7 +519,7 @@ def _advance(spec: ClosureSpec, phi: StatParams, cfg: PhysicsConfig,
 
     U = us[None, :]
     cap = _cap(p.log_ratio, phi.get("k_mean"))  # t* = min(horizon, cap)
-    corr = _closure_evaluator(spec, phi, cfg.v)
+    corr = _closure_evaluator(spec, phi)
 
     def coefficients(horizons):
         """At the memory horizons (a column) and every U-node: the drift rate
@@ -552,8 +550,8 @@ def _advance(spec: ClosureSpec, phi: StatParams, cfg: PhysicsConfig,
 
     snaps = [F.copy()] if nodes is None else None
     warnings: list = []
-    # buffers of the blocks that gather: j, w, the bands, j + 1 and the output
-    ints, floats = np.empty((2, p.size, width), np.intp), np.empty((5, p.size, width))
+    # buffers of the blocks that gather: j, w, the bands and the output
+    ints, floats = np.empty((p.size, width), np.intp), np.empty((5, p.size, width))
 
     def run(horizons, blocks):
         """The coefficient pass of a run of blocks, then their transport loops;
@@ -563,13 +561,12 @@ def _advance(spec: ClosureSpec, phi: StatParams, cfg: PhysicsConfig,
             n = len(offset)
             if index is None:  # the table's rows are the block's pairs
                 j, w, sub, diag, sup = table
-                j1, out = np.empty_like(j), np.empty_like(w)
+                out = np.empty_like(w)
             else:
                 j, w, sub, diag, sup = (np.take(a, index, axis=0, out=buf[:n], mode="clip")
-                                        for a, buf in zip(table, (ints[0], *floats[:4])))
-                j1, out = ints[1, :n], floats[4, :n]
+                                        for a, buf in zip(table, (ints, *floats[:4])))
+                out = floats[4, :n]
             j += offset
-            np.add(j, 1, out=j1)
             dl, d, dh = sub.reshape(-1)[1:], diag.reshape(-1), sup.reshape(-1)[:-1]
 
             # transport loop
@@ -598,7 +595,7 @@ def _advance(spec: ClosureSpec, phi: StatParams, cfg: PhysicsConfig,
                                 G[l_out - l:] = ((1.0 - theta) * src
                                                  + theta * F[l_out - shift - 1:h - shift - 1])
                         flat = G.reshape(-1)
-                    f_lo, f_hi = flat[j[a:b]], flat[j1[a:b]]
+                    f_lo, f_hi = flat[j[a:b]], flat[1:][j[a:b]]  # nodes j and j + 1
                     np.subtract(f_hi, f_lo, out=f_hi)
                     np.multiply(w[a:b], f_hi, out=f_hi)
                     Fs = np.add(f_lo, f_hi, out=out[a:b])
@@ -640,15 +637,13 @@ def solve_cdf_characteristics(k: float, phi: StatParams, cfg: PhysicsConfig,
     """Exact solution of the deterministic-rate CDF equation at one (x, t),
     with x the distance from the inflow boundary.
 
-    x > v t pulls the initial CDF back along the characteristic, x <= v t the
-    inflow CDF emitted at t - x / v; either way the state argument is
-    amplified by the decay accumulated over the travel time min(t, x / v).
+    x > t pulls the initial CDF back along the characteristic, x <= t the
+    inflow CDF emitted at t - x; either way the state argument is amplified
+    by the decay accumulated over the travel time min(t, x).
     """
-    if t < 0:
-        raise ContractError(f"no forecast before t = 0, got t = {t:g}")
     u = np.asarray(u_nodes, dtype=float)
     f0, fb = initial_boundary_cdfs(phi, deterministic_inputs, cfg, u[0], u[-1])
-    from_ic, travel, emitted = characteristic_origin(x, t, cfg.v)
+    from_ic, travel, emitted = characteristic_origin(x, t)
     amplified = u * np.exp(k * travel)
     vals = f0(amplified) if from_ic else fb(amplified, emitted)
     vals = np.clip(vals, 0.0, 1.0)

@@ -1,4 +1,4 @@
-"""Ground-truth physical model: 1D advection with linear decay, u_t + v u_x = -k(x) u.
+"""Ground-truth physical model: 1D advection with linear decay, u_t + u_x = -k(x) u.
 
 Holds the analytic characteristic solution, random-field sampling for k(x),
 synthetic observation generation, an upwind finite-volume solver used by the
@@ -7,7 +7,6 @@ ensemble baseline, and variogram post-processing.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,12 +45,7 @@ class PhysicsConfig:
     a: float = 0.1
     nu: float = 1.0
     phase: float = 3.0 * np.pi / 2.0
-    v: float = 1.0
     k_field: KField | None = None
-
-    def __post_init__(self):
-        if not self.v > 0:
-            raise ContractError("velocity must be positive")
 
 
 @dataclass(frozen=True)
@@ -82,15 +76,6 @@ class MeasurementSet:
         write_csv(path, ["idx", "x", "t", "d", "sigma_eps"],
                   ([i, r.x, r.t, r.d, r.sigma_eps] for i, r in enumerate(self.records)))
 
-    @classmethod
-    def from_csv(cls, path):
-        recs = []
-        with open(path, newline="") as fh:
-            for row in csv.DictReader(fh):
-                recs.append(Measurement(float(row["x"]), float(row["t"]),
-                                        float(row["d"]), float(row["sigma_eps"])))
-        return cls(tuple(recs))
-
 
 def k_field_to_csv(kf: KField, grid: Grid2D, path):
     write_csv(path, ["x", "k"], zip(grid.x_cells, kf.node_values))
@@ -115,24 +100,26 @@ def _k_line_integral(kf: KField, dx: float, x_lo, x_hi):
     return antider(x_hi) - antider(x_lo)
 
 
-def characteristic_origin(x, t, v):
-    """Where the characteristic of speed v through (x, t) starts.
+def characteristic_origin(x, t):
+    """Where the characteristic through (x, t) starts; every exact solution
+    reads it, so a time t < 0 is a `ContractError` here.
 
     Returns (from_ic, travel, emitted): whether it starts on the initial line
-    (x > v t) rather than at the inflow boundary x = 0, the time it has
-    travelled, min(t, x / v), and the time t - x / v at which it crossed
-    x = 0, which is the emission time of the inflow it carries when x <= v t.
+    (x > t) rather than at the inflow boundary x = 0, the time it has
+    travelled, min(t, x), and the time t - x at which it crossed x = 0, which
+    is the emission time of the inflow it carries when x <= t.
     """
-    x_v = x / v
-    return x > v * t, np.minimum(t, x_v), t - x_v
+    if np.any(np.asarray(t) < 0):
+        raise ContractError(f"no state before t = 0, got t = {np.min(t):g}")
+    return x > t, np.minimum(t, x), t - x
 
 
 def analytic_state(x, t, cfg: PhysicsConfig, dx: float | None = None):
     """Exact solution along characteristics.
 
-    x > v t: the initial state; x <= v t: the boundary signal emitted at
-    t - x / v; either decayed by the integral of k over the stretch
-    [x - v travel, x] the characteristic crossed, divided by v.
+    x > t: the initial state; x <= t: the boundary signal emitted at t - x;
+    either decayed by the integral of k over the stretch [x - travel, x] the
+    characteristic crossed.
     """
     kf = cfg.k_field
     if kf is None:
@@ -141,8 +128,8 @@ def analytic_state(x, t, cfg: PhysicsConfig, dx: float | None = None):
     t = np.asarray(t, dtype=float)
     if dx is None:
         dx = 1.0 / len(kf.node_values)
-    from_ic, travel, emitted = characteristic_origin(x, t, cfg.v)
-    decay = _k_line_integral(kf, dx, x - cfg.v * travel, x) / cfg.v
+    from_ic, travel, emitted = characteristic_origin(x, t)
+    decay = _k_line_integral(kf, dx, x - travel, x)
     src = np.where(from_ic, cfg.u0, forcing(np.maximum(emitted, 0.0), cfg))
     out = src * np.exp(-decay)
     return float(out) if out.ndim == 0 else out
@@ -205,16 +192,16 @@ def two_sensor_schedule(xs=SENSOR_XS, ts=SENSOR_TS):
 
 def solve_physical_fv(k_values, cfg: PhysicsConfig, dx: float, t_end: float,
                       cfl: float = 0.9):
-    """Explicit upwind solve of u_t + v u_x = -k(x) u on cell centers.
+    """Explicit upwind solve of u_t + u_x = -k(x) u on cell centers.
 
     k_values may be a single field (shape (n,)) or an ensemble (shape (m, n));
     the ensemble is advanced in lockstep.  Returns cell-center values at t_end.
     """
     k = np.atleast_2d(np.asarray(k_values, dtype=float))
     n = k.shape[1]
-    n_steps = max(1, int(np.ceil(cfg.v * t_end / (cfl * dx))))
+    n_steps = max(1, int(np.ceil(t_end / (cfl * dx))))
     dt = t_end / n_steps
-    c = cfg.v * dt / dx
+    c = dt / dx
     u = np.full(k.shape, cfg.u0)
     for step in range(n_steps):
         t_new = (step + 1) * dt

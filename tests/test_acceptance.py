@@ -19,7 +19,7 @@ asserts the same condition.  What criteria 3 and 5 check, in more detail:
 - criterion 5 bounds the sup-norm between the grid solver with the exact
   closure and the characteristics solution by 2 (dx + dU) = 0.0256 on the
   paper grid, with the monotonicity and boundary invariants.  On that grid
-  v dt / dx = 2, so the solver's x-shift is exact; the sup-norm, 0.019, is
+  dt / dx = 2, so the solver's x-shift is exact; the sup-norm, 0.019, is
   the error of linear interpolation along the U-drift.
 """
 

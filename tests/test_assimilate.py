@@ -239,6 +239,13 @@ class TestExactBayes:
         assert p0.mean == pytest.approx(mean, abs=1e-3)
         assert p0.std == pytest.approx(std, abs=1e-3)
 
+    def test_negative_time_is_a_contract_error(self):
+        for x in (0.8, 0.0):  # a datum before t = 0 at either origin
+            ms = MeasurementSet((Measurement(x, -0.1, 0.44, 0.02),))
+            with pytest.raises(ContractError):
+                exact_bayes_inputs(ms, GaussianDist(0.4, 0.1), GaussianDist(0.5, 0.1),
+                                   1.0, PhysicsConfig())
+
 
 class TestGridBayes:
     K_NODES = np.linspace(0.0, 4.0, 2001)
@@ -276,6 +283,12 @@ class TestGridBayes:
         mean = np.trapezoid(self.K_NODES * post.densities, self.K_NODES)
         var = np.trapezoid((self.K_NODES - mean) ** 2 * post.densities, self.K_NODES)
         assert np.sqrt(var) < 0.3
+
+    def test_negative_time_is_a_contract_error(self):
+        ms = MeasurementSet((Measurement(0.8, 0.2, 0.33, 0.02),
+                             Measurement(0.5, -0.1, 0.44, 0.02)))
+        with pytest.raises(ContractError):
+            grid_bayes_k(ms, GaussianDist(1.0, 0.3), PhysicsConfig(), self.K_NODES)
 
 
 class TestEnkfUpdate:

@@ -147,6 +147,13 @@ class TestConfig:
         rc = main(["forward", "--config", str(p), "--out-dir", str(tmp_path / "o")])
         assert rc == 1
 
+    def test_rejects_a_speed(self, tmp_path, capsys):
+        # the model has unit speed; another speed is a rescaling of t, k and nu
+        p = write(tmp_path, "c.ini", "[physics]\nv = 2\n")
+        rc = main(["forward", "--config", str(p), "--out-dir", str(tmp_path / "o")])
+        assert rc == 1
+        assert "unknown key physics.v" in capsys.readouterr().err
+
 
 class TestForward:
     def test_artifacts(self, tmp_path):

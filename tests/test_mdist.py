@@ -116,8 +116,8 @@ class TestTStar:
 
 
 def closure_correction(spec, phi, ts):
-    """Variance correction I(t*) at the memory horizons ts, at v = 1."""
-    return _closure_evaluator(spec, phi, 1.0)(np.asarray(ts, dtype=float))
+    """Variance correction I(t*) at the memory horizons ts."""
+    return _closure_evaluator(spec, phi)(np.asarray(ts, dtype=float))
 
 
 class TestClosureCorrection:
@@ -167,7 +167,7 @@ class TestClosureCorrection:
         ("exponential_k", StatParams(k_mean=2.0, k_std=0.2, k_corr_len=0.5)),
     ], ids=["random_constant", "exponential"])
     def test_zero_alpha_is_the_limit_of_the_general_form(self, family, phi):
-        # alpha = <k> (random constant) or <k> - v / k_corr_len (exponential) is
+        # alpha = <k> (random constant) or <k> - 1 / k_corr_len (exponential) is
         # exactly 0 here, where (exp(alpha t*) - 1) / alpha is 0 / 0; its limit
         # var t* must agree with the general form at alpha = +-1e-7 to O(alpha t*)
         spec = ClosureSpec(family)
@@ -194,7 +194,6 @@ class TestClosureCoefficients:
         spec = ClosureSpec("white_noise_k")
         phi = StatParams(k_mean=4.0, k_std=1.0)
         co = closure_coefficients(spec, phi, x=0.5, t=0.3, U=np.array([0.5]))
-        assert co.q1 == 1.0
         # q2 = -<k> U + U I = -2 + 0.25
         assert co.q2[0] == pytest.approx(-1.75, rel=1e-12)
         assert co.d22[0] == pytest.approx(0.125, rel=1e-12)
@@ -226,41 +225,41 @@ class TestClosureCoefficients:
     @pytest.mark.parametrize("family", ["exponential_k", "general_quadrature",
                                         "white_noise_k", "nugget"])
     def test_covariance_at_lag_v_tau(self, family):
-        # at v = 2 the characteristic covers the lag 2 tau in time tau, so
-        # C(h) = 0.04 exp(-h / 0.25) gives alpha = <k> - v / lambda = -7, and
+        # the characteristic covers the lag tau in time tau, so
+        # C(h) = 0.04 exp(-h / 0.25) gives alpha = <k> - 1 / lambda = -3, and
         # a point mass 0.04 delta(h) (white noise, a quadrature nugget) is
-        # 0.04 delta(tau) / v, of which [0, t*] holds 0.5 * 0.04 / v = 0.01;
-        # t* = min(t, x / v, ln(u_max / U) / <k>) = 0.3
+        # 0.04 delta(tau), of which [0, t*] holds 0.5 * 0.04 = 0.02;
+        # t* = min(t, x, ln(u_max / U) / <k>) = 0.3
         phi = StatParams(k_mean=1.0, k_std=0.2, k_corr_len=0.25)
         U = 0.5
 
         def d22(spec):
-            co = closure_coefficients(spec, phi, x=0.8, t=0.3, U=np.array([U]), v=2.0)
+            co = closure_coefficients(spec, phi, x=0.8, t=0.3, U=np.array([U]))
             return co.d22[0] / U ** 2
 
         if family in ("white_noise_k", "nugget"):
             spec = (ClosureSpec(family) if family == "white_noise_k"
                     else ClosureSpec("general_quadrature", nugget=0.04))
-            assert d22(spec) == pytest.approx(0.01, rel=1e-12)
+            assert d22(spec) == pytest.approx(0.02, rel=1e-12)
             # the limit of a narrow Gaussian covariance of the same weight
             eps = 1e-4
             narrow = ClosureSpec("general_quadrature", quad_points=200_000,
                                  cov_fn=lambda h: 0.04 * np.exp(-0.5 * (h / eps) ** 2)
                                  / (eps * np.sqrt(2.0 * np.pi)))
-            assert d22(narrow) == pytest.approx(0.01, rel=1e-3)
+            assert d22(narrow) == pytest.approx(0.02, rel=1e-3)
             return
         spec = (ClosureSpec(family) if family == "exponential_k"
                 else ClosureSpec(family, cov_fn=lambda h: 0.04 * np.exp(-h / 0.25)))
-        alpha = 1.0 - 2.0 / 0.25
+        alpha = 1.0 - 1.0 / 0.25
         expect = 0.04 * (np.exp(alpha * 0.3) - 1.0) / alpha
         rel = 1e-12 if family == "exponential_k" else 1e-6
         assert d22(spec) == pytest.approx(expect, rel=rel)
-        assert expect == pytest.approx(0.0050145, abs=1e-7)
+        assert expect == pytest.approx(0.0079124045, abs=1e-10)
 
     @pytest.mark.parametrize("family,alpha", [("random_constant_k", 1.0),
                                               ("exponential_k", 1.0 - 1.0 / 0.25)])
     @pytest.mark.parametrize("x,t,U,ts", [
-        (0.1, 0.5, 0.5, 0.1),                     # x / v bounds t*
+        (0.1, 0.5, 0.5, 0.1),                     # x bounds t*
         (0.8, 0.5, 0.9, np.log(1.0 / 0.9)),       # the log cap bounds t*
         (np.array([0.1, 0.8]), 0.5, np.array([0.5, 0.9]),
          np.array([0.1, np.log(1.0 / 0.9)])),     # both, broadcast
@@ -411,22 +410,11 @@ class TestCharacteristics:
         median = u[np.searchsorted(c.f_values, 0.5)]
         assert median == pytest.approx(expect, abs=u[1] - u[0])
 
-    def test_speed_two_matches_grid_solve(self):
-        # at v = 2 the characteristic through (x, t) starts on the initial
-        # line when x > 2 t and at the inflow, at t - x / 2, otherwise
-        cfg = PhysicsConfig(v=2.0)
-        grid = Grid2D(0.0, 1.0, 100, 0.0, 1.0, 128, 0.005, 0.45)  # v dt / dx = 1
-        sol = solve_cdf_fv(ClosureSpec("exact_deterministic_k"), PHI, cfg, grid, store="last")
-        for x in (0.95, 0.5):  # x > v t, and t < x <= v t
-            ref = solve_cdf_characteristics(1.0, PHI, cfg, x, 0.45, grid.u_nodes)
-            gap = np.max(np.abs(sol.slice_at(x, 0.45).f_values - ref.f_values))
-            assert gap <= 2.0 * (grid.dx + grid.du), (x, gap)
-
 
 SHIFT_GRIDS = [
-    Grid2D(0.0, 1.0, 100, 0.0, 1.0, 128, 0.005, 0.3),   # v dt / dx = 0.5
-    Grid2D(0.0, 1.0, 100, 0.0, 1.0, 128, 0.015, 0.3),   # v dt / dx = 1.5
-    Grid2D(0.0, 1.0, 100, 0.0, 1.0, 128, 0.0075, 0.3),  # v dt / dx = 0.75
+    Grid2D(0.0, 1.0, 100, 0.0, 1.0, 128, 0.005, 0.3),   # dt / dx = 0.5
+    Grid2D(0.0, 1.0, 100, 0.0, 1.0, 128, 0.015, 0.3),   # dt / dx = 1.5
+    Grid2D(0.0, 1.0, 100, 0.0, 1.0, 128, 0.0075, 0.3),  # dt / dx = 0.75
     Grid2D(0.0, 1.0, 100, -0.2, 1.0, 150, 0.01, 0.3),   # u_min != 0
 ]
 SHIFT_GRID_IDS = ["cfl-0.5", "cfl-1.5", "cfl-0.75", "u_min-neg"]
@@ -576,7 +564,7 @@ class TestForecastCone:
     """forecast_slice advances only the backward characteristic cone of the
     probed node; its slice must equal the full-field solve's bit for bit."""
 
-    PAPER = Grid2D(0.0, 1.0, 200, 0.0, 1.0, 128, 0.01, 0.6)  # v dt / dx = 2
+    PAPER = Grid2D(0.0, 1.0, 200, 0.0, 1.0, 128, 0.01, 0.6)  # dt / dx = 2
     SPECS = [ClosureSpec(family)
              for family in ("random_constant_k", "white_noise_k", "exponential_k")]
     SPECS.append(ClosureSpec("general_quadrature", cov_fn=lambda tau: 0.04 * np.exp(-tau / 0.3),
@@ -671,7 +659,7 @@ class TestForecastTimes:
             solve_cdf_fv(spec, PHI, PhysicsConfig(), self.PAPER, t_end=-0.1)
 
     def test_step_that_snaps_to_no_shift_keeps_the_inflow(self):
-        # v dt / dx = 2e-10 snaps to 0: no row moves in x, yet row 0 still
+        # dt / dx = 2e-10 snaps to 0: no row moves in x, yet row 0 still
         # reads the inflow at t
         spec, grid, t = ClosureSpec("random_constant_k"), self.PAPER, 1e-12
         sol = solve_cdf_fv(spec, PHI, PhysicsConfig(), grid, t_end=t)
@@ -714,17 +702,17 @@ def _reference_solve(spec, phi, cfg, grid):
     F = np.tile(f0(us), (grid.n_x + 1, 1))
     F[:, 0], F[:, -1] = 0.0, 1.0
     F[0] = inflow(0.0)[0]
-    c = cfg.v * dt / grid.dx
+    c = dt / grid.dx
     if abs(c - round(c)) <= 1e-9 * max(1.0, c):
         c = float(round(c))
     shift = int(np.floor(c))
     theta = c - shift
     n_in = min(shift + (theta > 0.0), grid.n_x + 1)
-    lag = ((xs[:n_in] - grid.x_min) / cfg.v)[:, None]
+    lag = (xs[:n_in] - grid.x_min)[:, None]
     U = us[None, :]
-    travel = (xs[:, None] - grid.x_min) / cfg.v
+    travel = xs[:, None] - grid.x_min
     base = t_star(U, travel, np.inf, phi.get("k_mean"), grid.u_max)
-    corr = _closure_evaluator(spec, phi, cfg.v)
+    corr = _closure_evaluator(spec, phi)
     snaps, warns = [F.copy()], []
     for step in range(n_steps):
         t_new = (step + 1) * dt
@@ -767,11 +755,11 @@ class TestTransportOracle:
     """The block passes of the grid solve against a step-by-step loop."""
 
     GRIDS = [
-        Grid2D(0.0, 1.0, 20, 0.0, 1.0, 24, 0.025, 0.6),   # v dt / dx = 0.5
-        Grid2D(0.0, 1.0, 20, 0.0, 1.0, 24, 0.075, 0.6),   # v dt / dx = 1.5
-        Grid2D(0.0, 1.0, 20, 0.0, 1.0, 24, 0.0375, 0.6),  # v dt / dx = 0.75
+        Grid2D(0.0, 1.0, 20, 0.0, 1.0, 24, 0.025, 0.6),   # dt / dx = 0.5
+        Grid2D(0.0, 1.0, 20, 0.0, 1.0, 24, 0.075, 0.6),   # dt / dx = 1.5
+        Grid2D(0.0, 1.0, 20, 0.0, 1.0, 24, 0.0375, 0.6),  # dt / dx = 0.75
         Grid2D(0.0, 1.0, 20, -0.2, 1.0, 30, 0.05, 0.6),   # u_min != 0
-        Grid2D(0.0, 1.0, 20, 0.0, 1.0, 24, 0.1, 0.6),     # v dt / dx = 2
+        Grid2D(0.0, 1.0, 20, 0.0, 1.0, 24, 0.1, 0.6),     # dt / dx = 2
     ]
     SPECS = [ClosureSpec(family)
              for family in ("random_constant_k", "white_noise_k", "exponential_k",
@@ -813,7 +801,7 @@ class TestTransportOracle:
             assert warns and sol.warnings == warns, spec
 
     def test_forecast_slice_logs_the_cone_warnings(self, caplog):
-        grid = self.GRIDS[-1]  # v dt / dx = 2
+        grid = self.GRIDS[-1]  # dt / dx = 2
         caplog.set_level(logging.WARNING, logger="damd.mdist")
         logged = 0
         for spec in self.SPECS[-1:]:
@@ -838,7 +826,7 @@ class TestTransportOracle:
         # covariance makes the drift's departure points NaN instead, see below)
         spec = ClosureSpec("general_quadrature", quad_points=10, deterministic_inputs=False,
                            cov_fn=lambda h: np.where(h > 0.15, np.inf, 0.04 * np.exp(-h)))
-        grid = self.GRIDS[-1]  # v dt / dx = 2: the cone at (0.8, 0.6) is one block of 6 steps
+        grid = self.GRIDS[-1]  # dt / dx = 2: the cone at (0.8, 0.6) is one block of 6 steps
         with pytest.raises(ArithmeticError) as ref:
             _reference_solve(spec, PHI, PhysicsConfig(), grid)
         message = re.escape(str(ref.value))
@@ -858,7 +846,7 @@ class TestTransportOracle:
         # gather
         spec = ClosureSpec("general_quadrature", quad_points=10, deterministic_inputs=False,
                            cov_fn=lambda h: np.where(h > 0.15, bad, 0.04 * np.exp(-h)))
-        grid = self.GRIDS[-1]  # v dt / dx = 2
+        grid = self.GRIDS[-1]  # dt / dx = 2
         message = "^non-finite CDF values at t = 0\\.2$"
         for store in ("all", "last"):
             with pytest.raises(ArithmeticError, match=message):
@@ -869,10 +857,10 @@ class TestTransportOracle:
 
 
 class TestConePlan:
-    """The cone geometry is memoized per (grid, v, t_end, node); forecasts that
+    """The cone geometry is memoized per (grid, t_end, node); forecasts that
     share it under other parameters must not see each other's state."""
 
-    GRID = Grid2D(0.0, 1.0, 20, 0.0, 1.0, 24, 0.075, 0.6)  # v dt / dx = 1.5
+    GRID = Grid2D(0.0, 1.0, 20, 0.0, 1.0, 24, 0.075, 0.6)  # dt / dx = 1.5
 
     def test_interleaved_forecasts_equal_full_field(self):
         spec = ClosureSpec("exponential_k")
@@ -886,7 +874,7 @@ class TestConePlan:
         assert _plan.cache_info().hits >= 2 * 7  # the second and third phi reuse every plan
 
     def test_plan_arrays_are_read_only(self):
-        plan = _plan(self.GRID, 1.0, 0.6, (16, 16))
+        plan = _plan(self.GRID, 0.6, (16, 16))
         blocks = [block for _, blocks in plan.runs for block in blocks]
         assert len(blocks) == 2
         arrays = [plan.lag, plan.log_ratio] + [horizons for horizons, _ in plan.runs]
@@ -900,16 +888,16 @@ class TestHorizonTables:
     """`_advance` evaluates the closure once per distinct memory horizon of a
     run of blocks, on tables of at most n_x + 1 rows."""
 
-    PAPER = Grid2D(0.0, 1.0, 200, 0.0, 1.0, 128, 0.01, 0.6)  # v dt / dx = 2
+    PAPER = Grid2D(0.0, 1.0, 200, 0.0, 1.0, 128, 0.01, 0.6)  # dt / dx = 2
     GRIDS = [PAPER,
-             Grid2D(0.0, 1.0, 20, 0.0, 1.0, 24, 0.005, 0.6),    # v dt / dx = 0.1, 120 steps
-             Grid2D(0.0, 1.0, 50, 0.0, 1.0, 48, 0.0025, 0.3)]   # v dt / dx = 0.125
+             Grid2D(0.0, 1.0, 20, 0.0, 1.0, 24, 0.005, 0.6),    # dt / dx = 0.1, 120 steps
+             Grid2D(0.0, 1.0, 50, 0.0, 1.0, 48, 0.0025, 0.3)]   # dt / dx = 0.125
 
     @pytest.mark.parametrize("grid", GRIDS, ids=["paper", "cfl-0.1", "cfl-0.125"])
     def test_tables_hold_each_pairs_horizon_in_at_most_n_x_plus_1_rows(self, grid):
         travel = grid.x_nodes - grid.x_min
         for nodes in (None, (0, grid.n_x), (grid.n_x // 2, grid.n_x // 2), (grid.n_x, grid.n_x)):
-            plan = _plan(grid, 1.0, grid.t_end, nodes)
+            plan = _plan(grid, grid.t_end, nodes)
             for horizons, blocks in plan.runs:
                 assert 0 < horizons.shape[0] <= grid.n_x + 1, nodes
                 for steps, offset, index in blocks:
@@ -920,20 +908,20 @@ class TestHorizonTables:
                     local = np.concatenate([np.arange(hi - lo) for lo, hi, *_ in steps])
                     assert np.array_equal(offset[:, 0], local * (grid.n_u + 1)), nodes
         if grid is not self.PAPER:  # more distinct horizons than n_x + 1
-            assert len(_plan(grid, 1.0, grid.t_end, None).runs) > 1
+            assert len(_plan(grid, grid.t_end, None).runs) > 1
 
     def test_paper_grid_store_last_advances_the_union_of_cones(self, monkeypatch):
         import damd.mdist as mdist
 
         grid = self.PAPER
-        plan = _plan(grid, 1.0, grid.t_end, (0, grid.n_x))
+        plan = _plan(grid, grid.t_end, (0, grid.n_x))
         assert sum(hi - lo for _, blocks in plan.runs for steps, *_ in blocks
                    for lo, hi, *_ in steps) == 8520  # of 60 x 201 = 12060
         sizes = []
         evaluator = mdist._closure_evaluator
 
-        def counted(spec, phi, v):
-            corr = evaluator(spec, phi, v)
+        def counted(spec, phi):
+            corr = evaluator(spec, phi)
 
             def evaluate(ts):
                 sizes.append(np.size(ts))
