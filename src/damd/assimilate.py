@@ -9,13 +9,16 @@ import numpy as np
 
 from .core import (ContractError, DegenerateInputError, DiscreteCdf, DiscretePdf,
                    GaussianDist, Grid2D, cdf_from_pdf, cramer_distance, pdf_from_cdf)
-from .mdist import ClosureSpec, StatParams, forecast_slice
+from .mdist import ClosureSpec, StatParams, closed_form_slice, forecast_slice, slice_law
 from .physics import (MeasurementSet, PhysicsConfig, characteristic_origin,
                       forcing, make_rng, sample_k_field, solve_physical_fv)
 
 # coordinates kept positive by optimizing their logarithm
 LOG_COORDS = frozenset({"k_std", "sigma0", "sigmab", "k_corr_len"})
 _LOG_FLOOR = 1e-8
+# the finest U-grid a datum's fit refines to; its posterior spread shrinks
+# to 0 with k_std
+MAX_FIT_N_U = 8192
 
 
 @dataclass(frozen=True)
@@ -26,6 +29,8 @@ class OptimizerConfig:
     def __post_init__(self):
         if not self.tol > 0:
             raise ContractError("tol must be positive")
+        if self.max_iters < 0:
+            raise ContractError("max_iters must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -38,6 +43,8 @@ class AssimilationStep:
     loss: float
     iterations: int
     converged: bool
+    n_u: int        # U-intervals of the grid the datum was fitted on
+    fallbacks: int  # forecasts of the fit that `forecast_slice` made
 
 
 @dataclass(frozen=True)
@@ -149,12 +156,41 @@ def minimize_nelder_mead(objective, phi0: StatParams, opt: OptimizerConfig,
     return _vec_to_phi(phi0, coords, xbest), fbest, iters, converged
 
 
+def _forecast(phi: StatParams, spec: ClosureSpec, cfg: PhysicsConfig,
+              grid: Grid2D, x: float, t: float):
+    """The slice of phi at (x, t) by the closure's closed form, or by
+    `forecast_slice` where that does not hold; the second value says whether
+    it fell back."""
+    f = closed_form_slice(phi, spec, cfg, grid, x, t)
+    if f is None:
+        return forecast_slice(phi, spec, cfg, grid, x, t), True
+    return f, False
+
+
 def damd_loss(phi: StatParams, spec: ClosureSpec, cfg: PhysicsConfig,
               grid: Grid2D, m, target_cdf: DiscreteCdf) -> float:
     """Cramer distance between the observational target CDF and the forecast
-    slice produced by phi at the measurement point.  The solver enforces the
-    CDF equation, so no residual penalty terms are needed."""
-    return cramer_distance(target_cdf, forecast_slice(phi, spec, cfg, grid, m.x, m.t))
+    slice produced by phi at the measurement point.  The forecast satisfies
+    the CDF equation, so no residual penalty terms are needed."""
+    return cramer_distance(target_cdf, _forecast(phi, spec, cfg, grid, m.x, m.t)[0])
+
+
+def datum_grid(phi: StatParams, spec: ClosureSpec, cfg: PhysicsConfig,
+               grid: Grid2D, m) -> Grid2D:
+    """The grid a datum is fitted on: grid with its n_u doubled until du is
+    at most a tenth of the posterior state std s, and at most `MAX_FIT_N_U`.
+    s combines the spread of the closed-form prior slice (`slice_law`),
+    median sqrt(2 J), with sigma_eps as two Gaussians do. A spec with no
+    closed form keeps grid."""
+    law = slice_law(phi, spec, cfg, grid, m.x, m.t)
+    if law is None:
+        return grid
+    s_prior = law.median * np.sqrt(2.0 * law.j)
+    s = s_prior * m.sigma_eps / np.hypot(s_prior, m.sigma_eps)
+    n_u = grid.n_u
+    while n_u < MAX_FIT_N_U and (grid.u_max - grid.u_min) / n_u > s / 10.0:
+        n_u = min(2 * n_u, MAX_FIT_N_U)
+    return grid if n_u == grid.n_u else replace(grid, n_u=n_u)
 
 
 def _default_coords(spec: ClosureSpec, m):
@@ -177,25 +213,36 @@ def damd_assimilate(measurements: MeasurementSet, phi0: StatParams,
     to the target by distance minimization. The fit's first vertex is phi
     itself, whose loss reads the prior slice rather than forecasting it again.
 
+    Each datum is fitted, its Bayes update and distances included, on
+    `datum_grid`, which depends on that datum and phi alone. Its forecasts
+    are closed-form slices where the closure has one, else `forecast_slice`.
+
     deterministic_inputs, unless None, replaces the spec's own."""
     if deterministic_inputs is not None:
         spec = replace(spec, deterministic_inputs=deterministic_inputs)
     phi = phi0
     steps = []
     for idx, m in enumerate(measurements):
-        prior_slice = forecast_slice(phi, spec, cfg, grid, m.x, m.t)
+        fit_grid = datum_grid(phi, spec, cfg, grid, m)
+        fallbacks = 0
+
+        def forecast(p):
+            nonlocal fallbacks
+            f, fell_back = _forecast(p, spec, cfg, fit_grid, m.x, m.t)
+            fallbacks += fell_back
+            return f
+
+        prior_slice = forecast(phi)
         _, target = observational_posterior(prior_slice, m.d, m.sigma_eps)
         active = coords if coords is not None else _default_coords(spec, m)
 
         def objective(p):
-            if p == phi:
-                return cramer_distance(target, prior_slice)
-            return damd_loss(p, spec, cfg, grid, m, target)
+            return cramer_distance(target, prior_slice if p == phi else forecast(p))
 
         phi_new, loss, iters, converged = minimize_nelder_mead(
             objective, phi, opt, active)
         steps.append(AssimilationStep(idx, m.x, m.t, phi, phi_new, loss,
-                                      iters, converged))
+                                      iters, converged, fit_grid.n_u, fallbacks))
         phi = phi_new
     return AssimilationTrace(tuple(steps))
 

@@ -182,13 +182,13 @@ def _write_trace(trace, out_dir: Path):
     header = ["step", "x", "t"]
     for n in names:
         header += [f"{n}_before", f"{n}_after"]
-    header += ["loss", "iterations", "converged"]
+    header += ["loss", "iterations", "converged", "n_u", "fallbacks"]
     rows = []
     for s in trace.steps:
         row = [s.index, s.x, s.t]
         for n in names:
             row += [getattr(s.phi_before, n), getattr(s.phi_after, n)]
-        row += [s.loss, s.iterations, int(s.converged)]
+        row += [s.loss, s.iterations, int(s.converged), s.n_u, s.fallbacks]
         rows.append(["" if v is None else v for v in row])
     write_csv(out_dir / "posterior_params.csv", header, rows)
 

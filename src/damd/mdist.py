@@ -2,6 +2,12 @@
 solution on an (x, U) grid or, in the deterministic-rate case, exactly by
 characteristics.
 
+Where the closure has a closed form, `closed_form_slice` gives one slice with
+no time steps: with deterministic inputs, the random-constant, exponential
+and white-noise closures carry the origin's step along the characteristic
+as a lognormal law in U (`slice_law`), wherever the log cap of t* leaves
+the slice alone.
+
 One evaluator gives the closure: `_closure_evaluator` is the only code that
 tells the families apart, mapping memory horizons t* to the variance
 correction I(t*), with the rate covariance taken along the characteristic at
@@ -46,13 +52,14 @@ from __future__ import annotations
 import dataclasses
 import functools
 import logging
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 from scipy.special import ndtr
 
-from .core import ContractError, DiscreteCdf, Grid2D, read_only
+from .core import CDF_MONOTONE_TOL, ContractError, DiscreteCdf, Grid2D, read_only
 from .physics import PhysicsConfig, characteristic_origin, forcing
 
 FAMILIES = (
@@ -66,6 +73,8 @@ FAMILIES = (
 _ALPHA_LIMIT = 1e-10
 _EXP_CLIP = 700.0
 MONOTONE_WARN_TOL = 1e-6
+# the most mass a closed-form slice may have where the log cap of t* binds
+CAP_TAIL_TOL = 1e-9
 
 _log = logging.getLogger(__name__)
 
@@ -320,8 +329,14 @@ class CdfSolution:
 
 def _repaired_slice(grid: Grid2D, row) -> DiscreteCdf:
     """A solver's U-row as a validated CDF: clipped to [0, 1], made
-    nondecreasing by a running maximum, the ends pinned to 0 and 1."""
+    nondecreasing by a running maximum, the ends pinned to 0 and 1. A repair
+    that moves a value by more than `CDF_MONOTONE_TOL` is logged as a warning
+    of this module's logger, with its largest move."""
     vals = np.maximum.accumulate(np.clip(row, 0.0, 1.0))
+    move = float(np.max(np.abs(vals - row)))
+    if move > CDF_MONOTONE_TOL:
+        _log.warning("slice repaired: clipping to [0, 1] and the running maximum "
+                     "moved a value by up to %.3e", move)
     vals[0], vals[-1] = 0.0, 1.0
     return DiscreteCdf(grid.u_nodes, vals)
 
@@ -671,3 +686,94 @@ def forecast_slice(phi: StatParams, spec: ClosureSpec, cfg: PhysicsConfig,
     for message in warnings:
         _log.warning("forecast_slice at x = %g: %s", x, message)
     return _repaired_slice(grid, F[-1, ix])
+
+
+class SliceLaw(NamedTuple):
+    """The closure's own solution at one slice: along the characteristic, in
+    s = ln U, the CDF equation is F_t - <k> F_s = I(tau) F_ss, so from a
+    step at u_origin, ln U is Normal with mean ln u_origin - <k> T and
+    variance 2 J, J the integral of I(tau) over the travel time [0, T]."""
+
+    k_mean: float
+    travel: float
+    u_origin: float
+    j: float
+
+    @property
+    def median(self) -> float:
+        return self.u_origin * np.exp(-self.k_mean * self.travel)
+
+    def cap_tail(self, u_max: float) -> float:
+        """The mass above u_max exp(-<k> T), where the log cap of `t_star`
+        binds, so where the closure is not the closed form; 0 when <k> <= 0."""
+        if not self.k_mean > _ALPHA_LIMIT:
+            return 0.0
+        return float(ndtr(-np.log(u_max / self.u_origin) / np.sqrt(2.0 * self.j)))
+
+
+def _integrated_correction(spec: ClosureSpec, phi: StatParams, travel: float) -> float:
+    """J, the integral of the correction I(tau) of `_closure_evaluator` over
+    [0, travel]: var T / 2 for white noise, else
+    var ((exp(alpha T) - 1) / alpha - T) / alpha = var T^2 g(alpha T), with
+    g(z) = (e^z - 1 - z) / z^2 by its series near z = 0."""
+    var = phi.get("k_std") ** 2
+    if spec.family == "white_noise_k":
+        return 0.5 * var * travel
+    k = phi.get("k_mean")
+    alpha = k if spec.family == "random_constant_k" else k - 1.0 / phi.get("k_corr_len")
+    z = min(alpha * travel, _EXP_CLIP)
+    g = 0.5 + z / 6.0 + z * z / 24.0 if abs(z) < 1e-4 else (math.expm1(z) - z) / z / z
+    return var * travel * travel * g
+
+
+def slice_law(phi: StatParams, spec: ClosureSpec, cfg: PhysicsConfig,
+              grid: Grid2D, x: float, t: float) -> SliceLaw | None:
+    """The closed-form law of the slice at the x-node nearest x (the node
+    `forecast_slice` reads) and time t, for the random-constant, exponential
+    and white-noise closures with deterministic inputs; None for any other
+    spec, or where the origin state is not positive."""
+    if (spec.family not in ("random_constant_k", "exponential_k", "white_noise_k")
+            or not _deterministic_inputs(spec)):
+        return None
+    xi = grid.x_nodes[grid.nearest_x_node(x)] - grid.x_min
+    from_ic, travel, emitted = characteristic_origin(xi, t)
+    u_origin = cfg.u0 if from_ic else float(forcing(emitted, cfg))
+    if not u_origin > 0:
+        return None
+    travel = float(travel)
+    return SliceLaw(phi.get("k_mean"), travel, u_origin,
+                    _integrated_correction(spec, phi, travel))
+
+
+@functools.lru_cache(maxsize=32)
+def _log_u_nodes(grid: Grid2D) -> np.ndarray:
+    """ln U at the grid's U-nodes, -inf at U <= 0."""
+    u = grid.u_nodes
+    with np.errstate(divide="ignore"):
+        return read_only(np.where(u > 0, np.log(np.where(u > 0, u, 1.0)), -np.inf))
+
+
+def closed_form_slice(phi: StatParams, spec: ClosureSpec, cfg: PhysicsConfig,
+                      grid: Grid2D, x: float, t: float) -> DiscreteCdf | None:
+    """The slice `forecast_slice` forecasts, from the closure's closed form
+    (`slice_law`) with no time steps: F(U) = Phi((ln U - ln u_origin + <k> T)
+    / sqrt(2 J)), the ends pinned to 0 and 1. At J = 0 (t = 0, the x_min node
+    or k_std = 0) it is the origin's step, as `solve_cdf_characteristics`
+    gives it.
+
+    None where that form does not hold, so the caller falls back to
+    `forecast_slice`: a spec that `slice_law` does not cover, or a slice
+    whose mass where the log cap of `t_star` binds exceeds `CAP_TAIL_TOL`
+    (J overflows only where <k> > 0, and the cap then holds half the mass)."""
+    law = slice_law(phi, spec, cfg, grid, x, t)
+    if law is None:
+        return None
+    if law.j == 0.0:
+        vals = (grid.u_nodes * np.exp(law.k_mean * law.travel) >= law.u_origin).astype(float)
+    elif law.cap_tail(grid.u_max) > CAP_TAIL_TOL:
+        return None
+    else:
+        mu = np.log(law.u_origin) - law.k_mean * law.travel
+        vals = ndtr((_log_u_nodes(grid) - mu) / np.sqrt(2.0 * law.j))
+    vals[0], vals[-1] = 0.0, 1.0
+    return DiscreteCdf(grid.u_nodes, vals)

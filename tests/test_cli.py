@@ -251,10 +251,34 @@ class TestAssimilate:
         rows = (tmp_path / "0.0,0.3" / "posterior_params.csv").read_text().splitlines()
         assert len(rows) == 1 + 4
 
+    def test_negative_max_iters_is_a_contract_error(self, tmp_path, capsys):
+        # it ran no iteration and wrote the prior as the posterior, exit 0
+        p = write(tmp_path, "c.ini", WHITE_INI.replace("max_iters = 20", "max_iters = -1"))
+        out = tmp_path / "out"
+        assert main(["assimilate", "--mode", "k_const", "--config", str(p),
+                     "--out-dir", str(out)]) == 1
+        assert "max_iters must be >= 0" in capsys.readouterr().err
+        assert not (out / "posterior_params.csv").exists()
+
+    def test_posterior_params_record_each_datums_grid_and_fallbacks(self, tmp_path):
+        p = write(tmp_path, "c.ini", WHITE_INI)
+        out = tmp_path / "out"
+        assert main(["assimilate", "--mode", "k_const", "--config", str(p),
+                     "--out-dir", str(out)]) == 0
+        header, *rows = (out / "posterior_params.csv").read_text().splitlines()
+        assert header.endswith(",loss,iterations,converged,n_u,fallbacks")
+        assert len(rows) == 2
+        for row in rows:
+            n_u, fallbacks = (int(v) for v in row.split(",")[-2:])
+            assert n_u >= 32 and n_u & (n_u - 1) == 0  # 32 doubled, or not
+            assert fallbacks >= 0
+
     def test_unexplainable_datum_is_a_numerical_failure(self, tmp_path, capsys):
-        # noise std 1e-4 on U-nodes 1/32 apart: the likelihood of the datum
-        # underflows at every node, so the prior slice cannot explain it
-        p = write(tmp_path, "c.ini", WHITE_INI.replace("sigma_eps = 0.02", "sigma_eps = 1e-4"))
+        # a true initial state of 5 puts every datum above u_max = 1, by far
+        # more than noise std 1e-4: the likelihood of the datum underflows at
+        # every U-node of any resolution, so the prior slice cannot explain it
+        ini = WHITE_INI.replace("sigma_eps = 0.02", "sigma_eps = 1e-4")
+        p = write(tmp_path, "c.ini", ini.replace("kind = white", "kind = white\nu0 = 5.0"))
         rc = main(["assimilate", "--mode", "k_const", "--config", str(p),
                    "--out-dir", str(tmp_path / "out")])
         assert rc == 2
